@@ -13,7 +13,6 @@ use mnv_profile::Profiler;
 use mnv_trace::{TraceEvent, Tracer, TrapKind};
 
 use crate::blockcache::BlockCache;
-#[cfg(feature = "block-cache")]
 use crate::blockcache::{BlockSeg, CachedBlock, RunVerify, VerifyStamp, MAX_BLOCK_LEN, MAX_SEGS};
 use crate::bus::{PeriphCtx, Peripheral};
 use crate::cache::{CacheHierarchy, MemAccessKind};
@@ -22,7 +21,6 @@ use crate::cpu::{Cpu, CpuEvent, ExceptionKind};
 use crate::event::{EventLog, SimEvent};
 use crate::gic::Gic;
 use crate::memory::PhysMemory;
-#[cfg(feature = "block-cache")]
 use crate::mir::FastClass;
 use crate::mir::{AluOp, Cond, Instr, MirCp15, Program, INSTR_SIZE};
 use crate::mmu::{AccessKind, Fault, Mmu};
@@ -31,7 +29,6 @@ use crate::psr::Psr;
 use crate::timer::{GlobalTimer, PrivateTimer};
 use crate::timing;
 use crate::tlb::Tlb;
-#[cfg(feature = "block-cache")]
 use crate::tlb::{PageKind, TlbEntry};
 use crate::vfp::Vfp;
 
@@ -85,7 +82,6 @@ pub enum UndKind {
 /// pages and each one verifies against a single TLB entry), the memory
 /// generation the recording must survive to be committable, and the cached
 /// predecessor block (if any) to chain to at commit time.
-#[cfg(feature = "block-cache")]
 struct Recording {
     /// Block key: (ASID, entry VA).
     key: (u8, u32),
@@ -104,7 +100,6 @@ struct Recording {
     pred: Option<std::rc::Rc<CachedBlock>>,
 }
 
-#[cfg(feature = "block-cache")]
 impl Recording {
     fn new(key: (u8, u32), gen: u64, pred: Option<std::rc::Rc<CachedBlock>>) -> Recording {
         Recording {
@@ -147,7 +142,6 @@ impl Recording {
 /// therefore never go stale — at worst it stops matching and the access
 /// takes the full model (which refreshes it) — so no invalidation hooks
 /// are needed and bit-identity holds unconditionally.
-#[cfg(feature = "block-cache")]
 #[derive(Clone, Copy)]
 struct DataHint {
     /// TLB slot + entry that translated the last access in this
@@ -167,7 +161,6 @@ struct DataHint {
 /// the unbanked r0–r7 file: direct register indexing and lazy NZC, with
 /// exactly [`Machine::alu`]'s semantics (only `Sub`/`Cmp` set flags, `Cmp`
 /// writes no register).
-#[cfg(feature = "block-cache")]
 #[inline(always)]
 fn alu_low(cpu: &mut Cpu, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
     let result = match op {
@@ -254,19 +247,16 @@ pub struct Machine {
     /// counters above — see [`crate::pmu`]).
     pub pmu: Pmu,
     /// Decoded basic-block cache used by [`Machine::run_slice`]. Runtime
-    /// switch in `bcache.enabled`; the fast path additionally requires the
-    /// `block-cache` cargo feature.
+    /// switch in `bcache.enabled`.
     pub bcache: BlockCache,
     /// Sampling profiler + flight recorder handle (disabled by default;
     /// the kernel installs a shared one). Consulted at instruction
     /// boundaries only — see [`Machine::profile_poll`].
     pub profiler: Profiler,
     /// Replay data-access hints, indexed `[read, write]`; see [`DataHint`].
-    #[cfg(feature = "block-cache")]
     dhint: [Option<DataHint>; 2],
     /// Bumped whenever the MMIO window list changes (peripheral attach),
     /// expiring every [`DataHint`] RAM-range proof.
-    #[cfg(feature = "block-cache")]
     mmio_gen: u32,
     clock: Cycles,
     last_sync: Cycles,
@@ -305,9 +295,7 @@ impl Machine {
             pmu: Pmu::default(),
             bcache: BlockCache::default(),
             profiler: Profiler::disabled(),
-            #[cfg(feature = "block-cache")]
             dhint: [None; 2],
-            #[cfg(feature = "block-cache")]
             mmio_gen: 0,
             clock: Cycles::ZERO,
             last_sync: Cycles::ZERO,
@@ -476,10 +464,7 @@ impl Machine {
             );
         }
         self.periphs.push(p);
-        #[cfg(feature = "block-cache")]
-        {
-            self.mmio_gen += 1;
-        }
+        self.mmio_gen += 1;
     }
 
     /// Typed access to an attached peripheral.
@@ -931,7 +916,6 @@ impl Machine {
     /// plane pins the executor to per-instruction sync). Returns
     /// `Cycles::new(u64::MAX)` when everything is quiescent. Only valid
     /// right after a sync (`last_sync == clock`).
-    #[cfg(feature = "block-cache")]
     fn device_deadline(&self) -> Cycles {
         if self.fault.is_armed() {
             return self.clock;
@@ -957,7 +941,6 @@ impl Machine {
     /// that are already resident). When the recording knows its dynamic
     /// predecessor (the block whose exit started it), the new block is
     /// chained in immediately — the edge was just traversed.
-    #[cfg(feature = "block-cache")]
     fn bcache_commit(&mut self, rec: Recording) {
         let Recording {
             key,
@@ -989,12 +972,11 @@ impl Machine {
     /// }
     /// ```
     ///
-    /// (the lockstep differential suite enforces this), but when the
-    /// `block-cache` feature is compiled in and `bcache.enabled` is set it
-    /// replays decoded basic blocks and syncs the device models only at
-    /// computed deadlines instead of every instruction.
+    /// (the lockstep differential suite enforces this), but when
+    /// `bcache.enabled` is set it replays decoded basic blocks and syncs
+    /// the device models only at computed deadlines instead of every
+    /// instruction.
     pub fn run_slice(&mut self, deadline: Cycles) -> CpuEvent {
-        #[cfg(feature = "block-cache")]
         if self.bcache.enabled {
             return self.run_slice_fast(deadline);
         }
@@ -1020,7 +1002,6 @@ impl Machine {
     /// direct slot compare every time. With the MMU off the reference
     /// translation is a free identity with no TLB traffic, reproduced here
     /// as exactly that.
-    #[cfg(feature = "block-cache")]
     fn replay_translate(
         &mut self,
         va: VirtAddr,
@@ -1065,7 +1046,6 @@ impl Machine {
     /// scan. Line changes, misses and disabled caches take the full model
     /// (which refreshes the hint, keeping the invariant that the hint
     /// always describes the most recent fill state of its slot).
-    #[cfg(feature = "block-cache")]
     fn replay_fetch_cost(&mut self, pa: PhysAddr, hint: &mut Option<(u64, usize)>) -> u64 {
         if self.caches.enabled {
             let line = pa.raw() >> self.caches.l1i.line_shift();
@@ -1096,7 +1076,6 @@ impl Machine {
     /// the hit already counted and nothing charged, exactly like
     /// `Mmu::translate`), then the L1D hit credit and charge, then the
     /// RAM access.
-    #[cfg(feature = "block-cache")]
     fn execute_mem_replay(&mut self, instr: Instr, pc: u32, privileged: bool) -> CpuEvent {
         let (write, rn, imm) = match instr {
             Instr::Ldr { rn, imm, .. } => (false, rn, imm),
@@ -1197,7 +1176,6 @@ impl Machine {
     /// when the fast path can't serve this page (MMIO in range, cold L1D
     /// line, no TLB entry, caches disabled) — meaning the next access
     /// simply takes the full model again.
-    #[cfg(feature = "block-cache")]
     fn make_data_hint(&self, va: VirtAddr, pa: PhysAddr) -> Option<DataHint> {
         if !self.caches.enabled {
             return None;
@@ -1263,7 +1241,6 @@ impl Machine {
     /// caught up to the clock, because every MMIO access syncs internally),
     /// while CP15/CPSR writes conservatively force a sync + poll at the
     /// next boundary.
-    #[cfg(feature = "block-cache")]
     fn run_slice_fast(&mut self, deadline: Cycles) -> CpuEvent {
         use std::rc::Rc;
 
@@ -1760,7 +1737,6 @@ impl Machine {
     /// ordering and event delivery as [`Machine::step`], appending to the
     /// open recording when there is one. On an event the caller gets it
     /// after any open recording has been committed.
-    #[cfg(feature = "block-cache")]
     fn fetch_slow(
         &mut self,
         pc: u32,
@@ -1808,7 +1784,6 @@ impl Machine {
     /// proved the N/Z/C results dead (overwritten by a later setter in the
     /// same pure run before any reader). A dead `Cmp` is a complete no-op;
     /// a dead `Sub` is just its register write.
-    #[cfg(feature = "block-cache")]
     #[inline]
     fn alu_lazy(&mut self, op: AluOp, rd: u8, a: u32, b: u32, flags_dead: bool) {
         if !flags_dead {
@@ -2403,7 +2378,6 @@ mod tests {
         b.halt();
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn run_slice_matches_reference_interpreter() {
         // The block executor must be *bit-identical* to the per-instruction
@@ -2441,7 +2415,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn irq_delivery_point_is_identical() {
         // IRQ delivery must land on the same instruction boundary (same
@@ -2472,7 +2445,6 @@ mod tests {
         assert_eq!(fast.cpu.reg(0), slow.cpu.reg(0));
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn stores_invalidate_cached_blocks() {
         let prog = |v: u32| {
@@ -2502,7 +2474,6 @@ mod tests {
         assert!(m.bcache.stats.store_invalidations >= 1);
     }
 
-    #[cfg(feature = "block-cache")]
     #[test]
     fn tlb_maintenance_drops_decoded_blocks() {
         let mut m = with_program(|b| {

@@ -12,9 +12,9 @@
 //! simulator's underlying statistics are already cumulative, so the PMU
 //! only has to diff them against a baseline ([`Pmu::sync`]) whenever its
 //! registers are observed or the kernel switches worlds. The hot paths
-//! carry no PMU code at all — the same zero-overhead shape as the trace
-//! and fault planes, but achieved architecturally instead of with a
-//! feature gate, because real guests may program the PMU at any time.
+//! carry no PMU code at all, not even the one-branch probe the trace and
+//! fault planes pay when disabled, because real guests may program the
+//! PMU at any time.
 //!
 //! Virtualization: the whole architectural state ([`PmuState`]) is small
 //! and `Copy`, so the kernel saves/restores it per vCPU across world

@@ -16,8 +16,6 @@
 //! slice schedule and compare full architectural state at every boundary
 //! and every trap, exactly like `lockstep.rs`.
 
-#![cfg(feature = "block-cache")]
-
 mod common;
 
 use common::{advance, assert_same, chain_heavy_program, service, Lcg, CODE_BASE};

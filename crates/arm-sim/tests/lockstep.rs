@@ -12,8 +12,6 @@
 //! Randomisation uses the same zero-dependency LCG as `proptests.rs`, so
 //! every failure is reproducible from its seed.
 
-#![cfg(feature = "block-cache")]
-
 mod common;
 
 use common::{advance, assert_same, gen_program, service, Lcg, CODE_BASE};
@@ -38,7 +36,6 @@ fn lockstep(seed: u64, total_cycles: u64, with_faults: bool) {
         m.bcache.enabled = cache_on;
         m.gic.enable(IrqNum::PRIVATE_TIMER);
         m.ptimer.program_periodic(Cycles::new(period));
-        #[cfg(feature = "fault")]
         if with_faults {
             // Chaos plan: spurious IRQs plus memory flips aimed straight at
             // the program text, so fault-plane writes must invalidate live
@@ -49,8 +46,6 @@ fn lockstep(seed: u64, total_cycles: u64, with_faults: bool) {
             plan.mem_flip_window = (CODE_BASE, prog_len);
             m.fault = mnv_fault::FaultPlane::armed(plan);
         }
-        #[cfg(not(feature = "fault"))]
-        let _ = (with_faults, prog_len);
         m
     };
     let mut fast = make(true);
@@ -109,7 +104,6 @@ fn long_run_with_dense_timer_traffic_is_identical() {
     }
 }
 
-#[cfg(feature = "fault")]
 #[test]
 fn chaos_seeds_stay_bit_identical() {
     // Fault plane armed: memory flips rewrite live program text and

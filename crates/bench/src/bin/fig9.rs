@@ -3,22 +3,21 @@
 //! OSes. Also captures an event timeline of the 4-guest configuration
 //! (`target/experiments/fig9.trace.json`).
 //!
-//! With `--attrib` (requires `--features metrics`) it additionally prints
-//! the cache/TLB-pollution attribution table — per-VM D-cache/TLB refill
-//! counts for 1–4 multiplexed VMs — turning the figure's explanation into
-//! measured data, and folds the counts into `BENCH_pr4.json`. With the
-//! `profile` feature on, the attribution gains a "where" breakdown: sampled
-//! cycles per (VM, hypercall/DPR-stage) context.
+//! With `--attrib` it additionally prints the cache/TLB-pollution
+//! attribution table — per-VM D-cache/TLB refill counts for 1–4
+//! multiplexed VMs — turning the figure's explanation into measured data,
+//! and folds the counts into `BENCH_pr4.json`. The attribution also gets a
+//! "where" breakdown: sampled cycles per (VM, hypercall/DPR-stage) context.
 //!
-//! With `--profile` (requires `--features profile`) it runs the 4-guest
-//! workload under the 10 µs PC sampler and writes the flame-graph input
-//! (`fig9.collapsed.txt`) plus Perfetto sample-rate counter tracks
-//! (`fig9.profile.trace.json`). Same seed ⇒ byte-identical profile.
+//! With `--profile` it runs the 4-guest workload under the 10 µs PC
+//! sampler and writes the flame-graph input (`fig9.collapsed.txt`) plus
+//! Perfetto sample-rate counter tracks (`fig9.profile.trace.json`). Same
+//! seed ⇒ byte-identical profile.
 //!
-//! With `--waterfall` (requires `--features trace`) it re-runs the 4-guest
-//! workload with causal request tracing live, reconstructs the per-request
-//! stage waterfalls and writes `fig9.waterfall.json` (the `mnvdbg
-//! --request` input format) plus an SLO summary of the run.
+//! With `--waterfall` it re-runs the 4-guest workload with causal request
+//! tracing live, reconstructs the per-request stage waterfalls and writes
+//! `fig9.waterfall.json` (the `mnvdbg --request` input format) plus an SLO
+//! summary of the run.
 //!
 //! Usage: `cargo run --release -p mnv-bench --bin fig9 [--quick] [--no-trace] [--attrib] [--profile] [--waterfall]`
 
@@ -85,9 +84,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--attrib") {
         let reports: Vec<_> = (1..=4).map(|n| measure_attrib(n, &cfg)).collect();
-        if reports[0].window.entries.is_empty() {
-            eprintln!("warning: metrics registry is inert — rerun with `--features metrics`");
-        }
         println!("\n{}", format_attrib(&reports));
         bench.push((
             "attrib",
@@ -97,34 +93,26 @@ fn main() {
         // The "where" next to the attribution's "who": sampled cycles per
         // (VM, hypercall/DPR-stage) kernel context over the 4-guest run.
         let profiler = profiled_run(4, &cfg, 30.0);
-        if profiler.is_enabled() {
-            println!("WHERE (PC samples per VM and kernel context, 4 guests, 30 ms):");
-            for (frame, n) in profiler.hot_contexts().into_iter().take(12) {
-                println!("  {n:>8}  {frame}");
-            }
-            println!();
-        } else {
-            eprintln!("warning: profiler is inert — rerun with `--features profile` for the context breakdown");
+        println!("WHERE (PC samples per VM and kernel context, 4 guests, 30 ms):");
+        for (frame, n) in profiler.hot_contexts().into_iter().take(12) {
+            println!("  {n:>8}  {frame}");
         }
+        println!();
     }
 
     if args.iter().any(|a| a == "--profile") {
         let profiler = profiled_run(4, &cfg, 30.0);
-        if profiler.is_enabled() {
-            write_artifact("fig9.collapsed.txt", &profiler.collapsed());
-            write_artifact("fig9.profile.trace.json", &profiler.perfetto_counters());
-            println!(
-                "\nPROFILE (10 us PC sampling, 4 guests, 30 ms simulated): {} samples, {:.1}% attributed",
-                profiler.total_samples(),
-                100.0 * profiler.attributed_fraction()
-            );
-            for (stack, n) in profiler.top_k(10) {
-                println!("  {n:>8}  {stack}");
-            }
-            println!("(feed target/experiments/fig9.collapsed.txt to any flame-graph renderer)");
-        } else {
-            eprintln!("warning: profiler is inert — rerun with `--features profile`");
+        write_artifact("fig9.collapsed.txt", &profiler.collapsed());
+        write_artifact("fig9.profile.trace.json", &profiler.perfetto_counters());
+        println!(
+            "\nPROFILE (10 us PC sampling, 4 guests, 30 ms simulated): {} samples, {:.1}% attributed",
+            profiler.total_samples(),
+            100.0 * profiler.attributed_fraction()
+        );
+        for (stack, n) in profiler.top_k(10) {
+            println!("  {n:>8}  {stack}");
         }
+        println!("(feed target/experiments/fig9.collapsed.txt to any flame-graph renderer)");
     }
     write_json("BENCH_pr4", &Json::obj(bench));
 
@@ -134,11 +122,8 @@ fn main() {
         let mut k = build_kernel(4, 11, &cfg);
         let tracer = k.enable_tracing(1 << 20);
         k.run(Cycles::from_millis(30.0));
-        let events = tracer.snapshot();
-        let falls = waterfall::build(&events);
-        if !tracer.is_enabled() || events.is_empty() {
-            eprintln!("warning: tracer is inert — rerun with `--features trace` for waterfalls");
-        } else if falls.is_empty() {
+        let falls = waterfall::build(&tracer.snapshot());
+        if falls.is_empty() {
             eprintln!("warning: no request spans captured in the trace window");
         } else {
             let complete = falls.iter().filter(|w| w.complete).count();
@@ -193,7 +178,6 @@ fn main() {
 /// `BENCH_pr10.json` at the repo root (the perf gate's input) and a copy
 /// under `target/experiments/`. With `--check`, exits non-zero when the
 /// lockstep diff fails or the hypercall reduction drops below 5x.
-#[cfg(feature = "ring")]
 fn run_ring_section(args: &[String]) {
     use mnv_bench::ringbench::compare_ring_modes;
 
@@ -251,9 +235,4 @@ fn run_ring_section(args: &[String]) {
         }
         println!("ring perf gate: OK");
     }
-}
-
-#[cfg(not(feature = "ring"))]
-fn run_ring_section(_args: &[String]) {
-    eprintln!("warning: built without the `ring` feature — --ring section skipped");
 }

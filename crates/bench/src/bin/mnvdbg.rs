@@ -5,7 +5,7 @@
 //! the recent flight-recorder events, the hottest profile buckets and the
 //! trigger-site machine context. This binary renders one as a
 //! human-readable report, with no simulator state needed — a dump from a
-//! different build configuration still decodes.
+//! different build still decodes.
 //!
 //! It also decodes causal-request waterfalls: `--request <id> <file>`
 //! looks a request up in a waterfall export (`fig9 --waterfall` writes
@@ -17,12 +17,12 @@
 //!   mnvdbg --request ID FILE      render one request's stage waterfall
 //!                                 from a waterfall JSON export
 //!                                 (`ID` = `all` lists every request)
-//!   mnvdbg --demo        (requires `--features fault,profile`) run a
-//!                        2-guest scenario with every accelerator start
-//!                        wedged, let the watchdog quarantine the region,
-//!                        write the resulting dump to
-//!                        `target/experiments/mnvdbg.demo.json` and
-//!                        round-trip it through the decoder
+//!   mnvdbg --demo                 run a 2-guest scenario with every
+//!                                 accelerator start wedged, let the
+//!                                 watchdog quarantine the region, write
+//!                                 the resulting dump to
+//!                                 `target/experiments/mnvdbg.demo.json`
+//!                                 and round-trip it through the decoder
 
 use mnv_bench::table3::{build_kernel, quick_config};
 use mnv_bench::write_artifact;
@@ -122,17 +122,9 @@ fn demo() {
     let cfg = quick_config();
     let mut k = build_kernel(2, 11, &cfg);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !profiler.is_enabled() {
-        eprintln!("mnvdbg: profiler is inert — rerun with `--features profile`");
-        std::process::exit(2);
-    }
     let mut plan = FaultPlan::none(9);
     plan.prr_hang = SiteCfg::new(1_000_000, 8); // every start wedges
-    let plane = k.enable_faults(plan);
-    if !plane.is_armed() {
-        eprintln!("mnvdbg: fault plane is inert — rerun with `--features fault`");
-        std::process::exit(2);
-    }
+    k.enable_faults(plan);
     k.state.hwmgr.watchdog_timeout = 1_000_000; // ~1.5 ms: faster demo
     k.run(Cycles::from_millis(60.0));
 

@@ -6,18 +6,18 @@
 //! wide fabric counters. Every column is a snapshot *delta* over the
 //! frame's window, so the display shows rates, not lifetime totals.
 //!
-//! With the `profile` feature on, each frame adds a hot-spot pane: the
-//! hottest sampled PCs (with VM and kernel-context annotations) and the
-//! sampled-cycle share per (VM, hypercall/DPR-stage) context.
+//! Each frame adds a hot-spot pane: the hottest sampled PCs (with VM and
+//! kernel-context annotations) and the sampled-cycle share per (VM,
+//! hypercall/DPR-stage) context.
 //!
-//! With the `trace` feature on, each frame also renders a request pane:
+//! Each frame also renders a request pane:
 //! the frame's SLO violations/burns, the per-interface request-latency
 //! distribution with its p99 tail exemplar (a request id `mnvdbg
 //! --request` can look up), and a compact waterfall of the slowest
 //! request that completed inside the frame's window.
 //!
 //! Usage:
-//!   cargo run --release -p mnv-bench --features metrics,profile,trace --bin mnvtop -- \
+//!   cargo run --release -p mnv-bench --bin mnvtop -- \
 //!     [--guests N] [--frames N] [--interval-ms F] [--plain]
 //!
 //! `--plain` disables the ANSI clear-screen between frames (the default
@@ -51,20 +51,8 @@ fn main() {
     let cfg = quick_config();
     let mut k = build_kernel(guests.clamp(1, 8), 11, &cfg);
     let reg = k.enable_metrics();
-    if !reg.is_enabled() {
-        eprintln!("warning: metrics registry is inert — rebuild with `--features metrics`");
-        eprintln!("         (frames below will show zeros)");
-    }
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
-    if !profiler.is_enabled() {
-        eprintln!(
-            "note: profiler is inert — add `profile` to the feature list for the hot-spot pane"
-        );
-    }
     let tracer = k.enable_tracing(1 << 20);
-    if !tracer.is_enabled() {
-        eprintln!("note: tracer is inert — add `trace` to the feature list for the request pane");
-    }
 
     // Short warm-up so caches/TLBs and the scheduler reach steady state.
     k.run(Cycles::from_millis(5.0 * guests as f64));
@@ -82,18 +70,14 @@ fn main() {
             print!("\x1b[2J\x1b[H");
         }
         render(frame, interval_ms, &d, &k.state.metrics.snapshot());
-        if profiler.is_enabled() {
-            render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
-        }
-        if tracer.is_enabled() {
-            render_reqs(
-                &tracer,
-                &d,
-                &k.state.metrics.snapshot(),
-                k.state.stats.reqs_minted,
-                window_start,
-            );
-        }
+        render_hot(&profiler, &mut prev_pcs, &mut prev_ctxs);
+        render_reqs(
+            &tracer,
+            &d,
+            &k.state.metrics.snapshot(),
+            k.state.stats.reqs_minted,
+            window_start,
+        );
     }
 }
 

@@ -21,7 +21,6 @@
 pub mod ablation;
 pub mod attrib;
 pub mod hostbench;
-#[cfg(feature = "ring")]
 pub mod ringbench;
 pub mod table3;
 

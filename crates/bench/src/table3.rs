@@ -265,8 +265,7 @@ pub fn traced_run(n: usize, cfg: &Table3Config, trace_ms: f64) -> Tracer {
 /// Run one virtualized configuration with the sampling profiler enabled
 /// and return the profiler handle. Sampling is pure observation, so the
 /// run is bit-identical to an unprofiled one; same `n`/`cfg`/duration
-/// means a byte-identical collapsed profile. Inert (but still safe to
-/// query) without the `profile` feature.
+/// means a byte-identical collapsed profile.
 pub fn profiled_run(n: usize, cfg: &Table3Config, profile_ms: f64) -> Profiler {
     let mut k = build_kernel(n, cfg.seeds.first().copied().unwrap_or(11), cfg);
     let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
@@ -701,7 +700,6 @@ mod tests {
         assert!(retries_line.contains('3'), "{retries_line}");
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn chaos_config_produces_nonzero_fault_activity() {
         // A chaos-armed quick run must keep measuring (the benchmark shape
@@ -721,7 +719,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn chaos_heal_demo_converges() {
         // The bin's --chaos heal section: armed half degrades, disarmed
@@ -736,7 +733,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_captures_manager_activity() {
         let tracer = traced_run(2, &quick_config(), 30.0);

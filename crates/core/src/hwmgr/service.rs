@@ -1181,6 +1181,33 @@ impl HwMgr {
         self.ring_tick(m, pds, pt, stats, tracer, None);
     }
 
+    /// The bookkeeping every quarantine shares: count it (stats and
+    /// metrics), emit and flight-record `PrrQuarantine`, capture a
+    /// post-mortem when the flight recorder holds anything, and restart
+    /// the region's watchdog and scrub cycle (a fresh quarantine is due
+    /// for scrubbing immediately).
+    pub(crate) fn note_quarantine(
+        &mut self,
+        m: &Machine,
+        pds: &BTreeMap<VmId, Pd>,
+        stats: &mut KernelStats,
+        tracer: &Tracer,
+        prr: u8,
+    ) {
+        stats.hwmgr.quarantines += 1;
+        self.metrics.inc("quarantines", Label::Machine);
+        let ev = TraceEvent::PrrQuarantine { prr };
+        tracer.emit(m.now(), ev);
+        self.profiler.record_event(m.now(), ev);
+        if self.profiler.has_flight_events() {
+            let vm = self.prrs.entry(prr).client;
+            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
+            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
+        }
+        self.busy_since[prr as usize] = None;
+        self.health[prr as usize] = PrrHealth::default();
+    }
+
     /// Take a hung region out of service and migrate its client to a
     /// shadow page, completing the wedged run in software (bit-identical
     /// output — the shadow runs the same functional model as the fabric).
@@ -1198,20 +1225,8 @@ impl HwMgr {
         tracer: &Tracer,
         prr: u8,
     ) -> bool {
-        stats.hwmgr.quarantines += 1;
-        self.metrics.inc("quarantines", Label::Machine);
-        tracer.emit(m.now(), TraceEvent::PrrQuarantine { prr });
-        self.profiler
-            .record_event(m.now(), TraceEvent::PrrQuarantine { prr });
-        if self.profiler.has_flight_events() {
-            let vm = self.prrs.entry(prr).client;
-            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
-            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
-        }
-        self.busy_since[prr as usize] = None;
+        self.note_quarantine(m, pds, stats, tracer, prr);
         self.ladders.remove(&prr);
-        // A fresh quarantine starts a fresh scrub cycle (due immediately).
-        self.health[prr as usize] = PrrHealth::default();
         self.prrs.entry_mut(m, prr).quarantined = true;
 
         // A wedged region must not keep DMA rights.

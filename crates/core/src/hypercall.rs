@@ -344,24 +344,17 @@ fn dispatch(
             // One manager invocation (two world switches) drains a whole
             // batch — the per-descriptor hypercalls the per-call path
             // would have paid collapse into this single protocol round.
-            #[cfg(feature = "ring")]
-            {
-                with_manager(m, ks, caller, 0, |m, ks| {
-                    let crate::kernel::KernelState {
-                        hwmgr,
-                        pds,
-                        pt,
-                        stats,
-                        tracer,
-                        ..
-                    } = ks;
-                    hwmgr.handle_ring_kick(m, pds, pt, stats, tracer, caller, args.a0 as u64)
-                })
-            }
-            #[cfg(not(feature = "ring"))]
-            {
-                Err(HcError::BadCall)
-            }
+            with_manager(m, ks, caller, 0, |m, ks| {
+                let crate::kernel::KernelState {
+                    hwmgr,
+                    pds,
+                    pt,
+                    stats,
+                    tracer,
+                    ..
+                } = ks;
+                hwmgr.handle_ring_kick(m, pds, pt, stats, tracer, caller, args.a0 as u64)
+            })
         }
         HwTaskRelease => with_manager(m, ks, caller, 0, |m, ks| {
             let (hwmgr, pds, tracer) = (&mut ks.hwmgr, &mut ks.pds, &ks.tracer);

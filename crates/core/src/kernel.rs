@@ -205,8 +205,7 @@ impl Kernel {
     /// Turn on the per-VM metrics registry: the kernel, the Hardware Task
     /// Manager and the PL peripheral share one registry (clones share
     /// state, like the tracer's ring). Returns a handle for snapshots and
-    /// export. Without the `metrics` feature this returns an inert handle
-    /// and every probe stays an empty inline function.
+    /// export.
     pub fn enable_metrics(&mut self) -> Registry {
         let r = Registry::enabled();
         self.state.metrics = r.clone();
@@ -229,8 +228,7 @@ impl Kernel {
     /// one last-N ring. `period` is the sampling period in cycles
     /// ([`mnv_profile::DEFAULT_PERIOD`] is 10 us of simulated time).
     /// Sampling is pure observation — a profiled run is bit-identical to
-    /// an unprofiled one. Without the `profile` feature this returns an
-    /// inert handle and every probe stays an empty inline function.
+    /// an unprofiled one.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
         let p = Profiler::enabled(period, self.machine.now(), mnv_profile::DEFAULT_FLIGHT_CAP);
         self.state.profiler = p.clone();
@@ -598,28 +596,25 @@ impl Kernel {
             // Decoded-block cache counters are machine-global (blocks are
             // keyed by ASID, not owned by the scheduled VM), so they mirror
             // as gauges rather than per-label deltas.
-            #[cfg(feature = "block-cache")]
-            {
-                let s = &self.machine.bcache.stats;
-                r.set("bcache_hits", Label::Machine, s.hits);
-                r.set("bcache_misses", Label::Machine, s.misses);
-                r.set("bcache_chain_follows", Label::Machine, s.chain_follows);
-                r.set("bcache_replayed_instrs", Label::Machine, s.replayed_instrs);
-                r.set("bcache_batched_instrs", Label::Machine, s.batched_instrs);
-                r.set("bcache_evictions", Label::Machine, s.evictions);
-                r.set("bcache_superblocks", Label::Machine, s.superblocks);
-                r.set("bcache_fused_segs", Label::Machine, s.fused_segs);
-                r.set(
-                    "bcache_store_invalidations",
-                    Label::Machine,
-                    s.store_invalidations,
-                );
-                r.set(
-                    "bcache_maint_invalidations",
-                    Label::Machine,
-                    s.maint_invalidations,
-                );
-            }
+            let s = &self.machine.bcache.stats;
+            r.set("bcache_hits", Label::Machine, s.hits);
+            r.set("bcache_misses", Label::Machine, s.misses);
+            r.set("bcache_chain_follows", Label::Machine, s.chain_follows);
+            r.set("bcache_replayed_instrs", Label::Machine, s.replayed_instrs);
+            r.set("bcache_batched_instrs", Label::Machine, s.batched_instrs);
+            r.set("bcache_evictions", Label::Machine, s.evictions);
+            r.set("bcache_superblocks", Label::Machine, s.superblocks);
+            r.set("bcache_fused_segs", Label::Machine, s.fused_segs);
+            r.set(
+                "bcache_store_invalidations",
+                Label::Machine,
+                s.store_invalidations,
+            );
+            r.set(
+                "bcache_maint_invalidations",
+                Label::Machine,
+                s.maint_invalidations,
+            );
         }
     }
 

@@ -964,18 +964,7 @@ impl HwMgr {
         tracer: &Tracer,
         prr: u8,
     ) {
-        stats.hwmgr.quarantines += 1;
-        self.metrics.inc("quarantines", Label::Machine);
-        tracer.emit(m.now(), TraceEvent::PrrQuarantine { prr });
-        self.profiler
-            .record_event(m.now(), TraceEvent::PrrQuarantine { prr });
-        if self.profiler.has_flight_events() {
-            let vm = self.prrs.entry(prr).client;
-            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
-            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
-        }
-        self.busy_since[prr as usize] = None;
-        self.health[prr as usize] = PrrHealth::default();
+        self.note_quarantine(m, pds, stats, tracer, prr);
         {
             let e = self.prrs.entry_mut(m, prr);
             e.quarantined = true;

@@ -82,9 +82,6 @@ fn request_tracing_is_architecturally_neutral() {
 fn waterfalls_reconstruct_complete_request_lifecycles() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
-    if !tracer.is_enabled() {
-        return; // trace feature off: nothing to reconstruct
-    }
     k.run(Cycles::from_millis(60.0));
     let falls = waterfall::build(&tracer.snapshot());
     assert!(!falls.is_empty(), "no requests reconstructed");
@@ -118,15 +115,11 @@ fn waterfalls_reconstruct_complete_request_lifecycles() {
 /// p99 tail-bucket exemplars carry request ids that resolve to real
 /// traced requests: the whole point of exemplars is jumping from an
 /// aggregate histogram straight to one concrete waterfall.
-#[cfg(feature = "metrics")]
 #[test]
 fn tail_exemplars_resolve_to_traced_requests() {
     let mut k = hw_scenario();
     let tracer = k.enable_tracing(1 << 20);
     let reg = k.enable_metrics();
-    if !tracer.is_enabled() {
-        return;
-    }
     k.run(Cycles::from_millis(60.0));
     let falls = waterfall::build(&tracer.snapshot());
     let snap = reg.snapshot();
@@ -156,7 +149,7 @@ fn tail_exemplars_resolve_to_traced_requests() {
 /// Tightening an interface's latency objective below what the hardware
 /// can deliver makes every completion a violation; once the windowed
 /// count crosses the burn limit the kernel records the burn in the
-/// stats, the trace and (with `profile` on) the flight recorder.
+/// stats, the trace and the flight recorder.
 #[test]
 fn slo_burn_fires_on_sustained_violations() {
     let mut k = hw_scenario();
@@ -166,13 +159,9 @@ fn slo_burn_fires_on_sustained_violations() {
     // (hypercall records) would evict a mid-run burn before the test
     // could look. Recording is non-architectural, so this changes
     // nothing else.
-    #[cfg(feature = "profile")]
-    let profiler = {
-        let p =
-            mnv_profile::Profiler::enabled(mnv_profile::DEFAULT_PERIOD, k.machine.now(), 1 << 16);
-        k.state.hwmgr.profiler = p.clone();
-        p
-    };
+    let profiler =
+        mnv_profile::Profiler::enabled(mnv_profile::DEFAULT_PERIOD, k.machine.now(), 1 << 16);
+    k.state.hwmgr.profiler = profiler.clone();
     // 1000 cycles ≈ 1.5 us: no reconfiguration-plus-execution round trip
     // fits, so every interface burns its window.
     for iface in 0..3 {
@@ -194,28 +183,23 @@ fn slo_burn_fires_on_sustained_violations() {
         s.slo_violations >= s.slo_burns,
         "a burn implies at least one violation"
     );
-    if tracer.is_enabled() {
-        let burn_events: Vec<_> = tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(_, ev)| match ev {
-                TraceEvent::SloBurn { iface, violations } => Some((iface, violations)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(burn_events.len() as u64, s.slo_burns);
-        for (iface, violations) in &burn_events {
-            assert_ne!(iface_name(*iface), "iface:?");
-            assert!(*violations >= 2, "burn latched below the limit");
-        }
+    let burn_events: Vec<_> = tracer
+        .snapshot()
+        .into_iter()
+        .filter_map(|(_, ev)| match ev {
+            TraceEvent::SloBurn { iface, violations } => Some((iface, violations)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(burn_events.len() as u64, s.slo_burns);
+    for (iface, violations) in &burn_events {
+        assert_ne!(iface_name(*iface), "iface:?");
+        assert!(*violations >= 2, "burn latched below the limit");
     }
-    #[cfg(feature = "profile")]
-    {
-        let in_flight = profiler
-            .flight_snapshot()
-            .into_iter()
-            .filter(|(_, ev)| matches!(ev, TraceEvent::SloBurn { .. }))
-            .count();
-        assert!(in_flight > 0, "burn must reach the flight recorder");
-    }
+    let in_flight = profiler
+        .flight_snapshot()
+        .into_iter()
+        .filter(|(_, ev)| matches!(ev, TraceEvent::SloBurn { .. }))
+        .count();
+    assert!(in_flight > 0, "burn must reach the flight recorder");
 }

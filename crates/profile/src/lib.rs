@@ -25,10 +25,9 @@
 //! TLBs or architectural registers: a profiled run is **bit-identical** to
 //! an unprofiled one (cycles, retired instructions, PMU deltas, trap PCs
 //! — enforced by the lockstep suites). The handle follows the shared
-//! `Tracer`/`Registry`/`FaultPlane` idiom: `Clone` shares state, the
-//! disabled handle is unit-sized and free to call into, and without the
-//! `profile` cargo feature every probe compiles to an empty inline
-//! function.
+//! `Tracer`/`Registry`/`FaultPlane` idiom: `Clone` shares state, and the
+//! disabled handle holds `None` and is free to call into (one branch per
+//! probe).
 
 #![warn(missing_docs)]
 
@@ -42,13 +41,9 @@ use mnv_hal::Cycles;
 use mnv_trace::json::Json;
 use mnv_trace::TraceEvent;
 
-#[cfg(feature = "profile")]
 use mnv_trace::TraceRing;
-#[cfg(feature = "profile")]
 use std::cell::RefCell;
-#[cfg(feature = "profile")]
 use std::collections::BTreeMap;
-#[cfg(feature = "profile")]
 use std::rc::Rc;
 
 /// Default sampling period: one sample per 6 600 simulated cycles (10 µs
@@ -59,10 +54,8 @@ pub const DEFAULT_PERIOD: u64 = 6_600;
 pub const DEFAULT_FLIGHT_CAP: usize = 512;
 
 /// Perfetto counter-track bucket width: 1 ms of simulated time.
-#[cfg(feature = "profile")]
 const COUNTER_BUCKET: u64 = mnv_hal::cycles::CPU_HZ / 1000;
 
-#[cfg(feature = "profile")]
 struct State {
     period: u64,
     next_sample: u64,
@@ -82,7 +75,6 @@ struct State {
 /// Task Manager.
 #[derive(Clone, Default)]
 pub struct Profiler {
-    #[cfg(feature = "profile")]
     inner: Option<Rc<RefCell<State>>>,
 }
 
@@ -93,42 +85,28 @@ impl Profiler {
     }
 
     /// A live profiler sampling every `period` cycles starting from `now`,
-    /// with a flight ring retaining `flight_cap` events. Inert without the
-    /// `profile` feature, so call sites need no gates.
+    /// with a flight ring retaining `flight_cap` events.
     pub fn enabled(period: u64, now: Cycles, flight_cap: usize) -> Self {
-        #[cfg(feature = "profile")]
-        {
-            let period = period.max(1);
-            Profiler {
-                inner: Some(Rc::new(RefCell::new(State {
-                    period,
-                    next_sample: now.raw() + period,
-                    samples: BTreeMap::new(),
-                    total_samples: 0,
-                    series: BTreeMap::new(),
-                    cur_vm: 0,
-                    ctx: SampleCtx::None,
-                    flight: TraceRing::new(flight_cap),
-                    last_dump: None,
-                }))),
-            }
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            let _ = (period, now, flight_cap);
-            Profiler::default()
+        let period = period.max(1);
+        Profiler {
+            inner: Some(Rc::new(RefCell::new(State {
+                period,
+                next_sample: now.raw() + period,
+                samples: BTreeMap::new(),
+                total_samples: 0,
+                series: BTreeMap::new(),
+                cur_vm: 0,
+                ctx: SampleCtx::None,
+                flight: TraceRing::new(flight_cap),
+                last_dump: None,
+            }))),
         }
     }
 
     /// True when this handle records.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "profile")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "profile"))]
-        false
+        self.inner.is_some()
     }
 
     /// The next sample deadline in raw cycles (`u64::MAX` when disabled).
@@ -136,7 +114,6 @@ impl Profiler {
     /// run ever strides over a sample point.
     #[inline]
     pub fn next_deadline(&self) -> u64 {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return inner.borrow().next_sample;
         }
@@ -151,7 +128,6 @@ impl Profiler {
     /// stay cycle-weighted.
     #[inline]
     pub fn poll(&self, now: Cycles, pc: u32, asid: u8, privileged: bool) {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let mut s = inner.borrow_mut();
             let now = now.raw();
@@ -176,49 +152,37 @@ impl Profiler {
             let scope = key.vm;
             *s.series.entry((now / COUNTER_BUCKET, scope)).or_insert(0) += weight;
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = (now, pc, asid, privileged);
     }
 
     /// Annotate subsequent samples and events with the running VM
     /// (0 = host). Set by the kernel at world switches.
     #[inline]
     pub fn set_vm(&self, vm: u8) {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             inner.borrow_mut().cur_vm = vm;
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = vm;
     }
 
     /// Swap the kernel-context annotation, returning the previous one so
     /// nested scopes (a DPR stage inside a hypercall) restore correctly.
     #[inline]
     pub fn swap_ctx(&self, ctx: SampleCtx) -> SampleCtx {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return std::mem::replace(&mut inner.borrow_mut().ctx, ctx);
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = ctx;
         SampleCtx::None
     }
 
     /// Record a structured event into the flight ring.
     #[inline]
     pub fn record_event(&self, now: Cycles, ev: TraceEvent) {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             inner.borrow_mut().flight.push(now, ev);
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = (now, ev);
     }
 
     /// Total samples folded so far (0 when disabled).
     pub fn total_samples(&self) -> u64 {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return inner.borrow().total_samples;
         }
@@ -228,7 +192,6 @@ impl Profiler {
     /// Fraction of samples landing in attributable (VM, DPR
     /// stage/hypercall) buckets (1.0 for an empty profile).
     pub fn attributed_fraction(&self) -> f64 {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let s = inner.borrow();
             if s.total_samples == 0 {
@@ -249,7 +212,6 @@ impl Profiler {
     /// bucket, in deterministic key order) — the input format of every
     /// flame-graph renderer.
     pub fn collapsed(&self) -> String {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let s = inner.borrow();
             let mut out = String::new();
@@ -266,7 +228,6 @@ impl Profiler {
 
     /// The `k` hottest buckets, by sample count then key order.
     pub fn top_k(&self, k: usize) -> Vec<(String, u64)> {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let s = inner.borrow();
             let mut all: Vec<(String, u64)> = s
@@ -278,14 +239,12 @@ impl Profiler {
             all.truncate(k);
             return all;
         }
-        let _ = k;
         Vec::new()
     }
 
     /// Samples aggregated per (scope, kernel context) — the "where"
     /// breakdown next to the attribution report's "who" tables.
     pub fn hot_contexts(&self) -> Vec<(String, u64)> {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let s = inner.borrow();
             let mut agg: BTreeMap<String, u64> = BTreeMap::new();
@@ -313,7 +272,6 @@ impl Profiler {
     /// simulated clock) — loads in Perfetto next to the `mnv-trace`
     /// timeline.
     pub fn perfetto_counters(&self) -> String {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             let s = inner.borrow();
             let mut out: Vec<Json> = Vec::new();
@@ -352,7 +310,6 @@ impl Profiler {
     /// the recorder.
     #[inline]
     pub fn has_flight_events(&self) -> bool {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return !inner.borrow().flight.is_empty();
         }
@@ -361,7 +318,6 @@ impl Profiler {
 
     /// Copy the retained flight-recorder events oldest-first.
     pub fn flight_snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return inner.borrow().flight.snapshot();
         }
@@ -373,36 +329,27 @@ impl Profiler {
     /// shared state (fetch with [`Profiler::last_dump`]) and returned.
     /// `None` when disabled.
     pub fn trigger_dump(&self, reason: &str, now: Cycles, context: Json) -> Option<String> {
-        #[cfg(feature = "profile")]
-        {
-            let top = self.top_k(10);
-            let inner = self.inner.as_ref()?;
-            let blob = {
-                let s = inner.borrow();
-                postmortem::build_blob(
-                    reason,
-                    now,
-                    &s.flight.snapshot(),
-                    s.flight.dropped(),
-                    &top,
-                    s.total_samples,
-                    context,
-                )
-                .to_string()
-            };
-            inner.borrow_mut().last_dump = Some(blob.clone());
-            Some(blob)
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            let _ = (reason, now, context);
-            None
-        }
+        let top = self.top_k(10);
+        let inner = self.inner.as_ref()?;
+        let blob = {
+            let s = inner.borrow();
+            postmortem::build_blob(
+                reason,
+                now,
+                &s.flight.snapshot(),
+                s.flight.dropped(),
+                &top,
+                s.total_samples,
+                context,
+            )
+            .to_string()
+        };
+        inner.borrow_mut().last_dump = Some(blob.clone());
+        Some(blob)
     }
 
     /// The most recent post-mortem blob, if any dump has fired.
     pub fn last_dump(&self) -> Option<String> {
-        #[cfg(feature = "profile")]
         if let Some(inner) = &self.inner {
             return inner.borrow().last_dump.clone();
         }
@@ -436,7 +383,6 @@ mod tests {
         assert!(p.trigger_dump("x", Cycles::ZERO, Json::Null).is_none());
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn sampling_fires_at_deadlines_and_folds() {
         let p = Profiler::enabled(100, Cycles::ZERO, 16);
@@ -453,7 +399,6 @@ mod tests {
         assert_eq!(p.collapsed(), "host;0x00000010 3\n");
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn annotations_split_buckets_and_clones_share_state() {
         let p = Profiler::enabled(10, Cycles::ZERO, 16);
@@ -474,7 +419,6 @@ mod tests {
         assert_eq!(p.hot_contexts()[0], ("vm1".to_string(), 2));
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn dump_round_trips_flight_and_top_buckets() {
         let p = Profiler::enabled(10, Cycles::ZERO, 4);
@@ -504,7 +448,6 @@ mod tests {
         assert_eq!(pm.context.get("pc").and_then(Json::as_num), Some(64.0));
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn perfetto_counters_parse_and_bucket_per_vm() {
         let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO, 4);

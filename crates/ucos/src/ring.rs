@@ -25,7 +25,7 @@ pub enum RingError {
     Full,
     /// A ring-page access faulted.
     Fault(VirtAddr),
-    /// The kernel refused the kick (feature off, bad header, denied…).
+    /// The kernel refused the kick (bad header, denied…).
     Kick(HcError),
 }
 

@@ -455,7 +455,7 @@ enum BatchPhase {
 /// per-call instance and a ring instance with the same seed must publish
 /// **bit-identical** checkpoints — the lockstep property the fig. 9 `--ring`
 /// comparison asserts. Ring mode degrades permanently to per-call when the
-/// kick is refused (kernel built without the `ring` feature).
+/// kernel refuses the kick.
 pub struct HwBatchTask {
     set: Vec<HwTaskId>,
     family: u8,
@@ -927,7 +927,7 @@ mod tests {
         let (mut env, mut svc) = ctx_parts();
         env.respond(
             Hypercall::RingKick,
-            Err(mnv_hal::abi::HcError::BadCall), // kernel built without rings
+            Err(mnv_hal::abi::HcError::BadCall), // the kernel refuses the kick
         );
         env.respond(Hypercall::HwTaskRequest, Ok(0));
         let mut t = HwBatchTask::new(vec![HwTaskId(0)], 0, BatchMode::Ring, 2, 7);

@@ -11,12 +11,10 @@ use mini_nova_repro::prelude::*;
 fn main() {
     // 1. Boot the kernel on the simulated Zynq-7000: dual-purpose DDR,
     //    four partially reconfigurable regions, PCAP, hwMMU. Capture the
-    //    whole run as a cycle-timestamped event trace (a no-op handle when
-    //    the `trace` feature is off).
+    //    whole run as a cycle-timestamped event trace.
     let mut kernel = Kernel::new(KernelConfig::default());
     let tracer = kernel.enable_tracing(1 << 16);
-    // Per-VM counter plane (an inert handle unless built with
-    // `--features metrics`): every cache/TLB/cycle event charged to the
+    // Per-VM counter plane: every cache/TLB/cycle event charged to the
     // VM — or the kernel itself — that caused it.
     let metrics = kernel.enable_metrics();
 
@@ -113,28 +111,24 @@ fn main() {
 
     // 6. Export the trace: a Perfetto/chrome://tracing-loadable timeline
     //    plus a top-N text summary of where the cycles went.
-    if tracer.is_enabled() {
-        let path = std::path::Path::new("target/experiments/quickstart.trace.json");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, tracer.export_chrome()).unwrap();
-        println!("\n{}", tracer.summary(10));
-        println!(
-            "wrote {} ({} events retained, {} recorded) — open in Perfetto or chrome://tracing",
-            path.display(),
-            tracer.len(),
-            tracer.total()
-        );
-    }
+    let dir = std::path::Path::new("target/experiments");
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join("quickstart.trace.json");
+    std::fs::write(&path, tracer.export_chrome()).unwrap();
+    println!("\n{}", tracer.summary(10));
+    println!(
+        "wrote {} ({} events retained, {} recorded) — open in Perfetto or chrome://tracing",
+        path.display(),
+        tracer.len(),
+        tracer.total()
+    );
 
     // 7. Export the counter plane: the registry mnvtop renders live, as
     //    Prometheus text exposition (`mnv_<series>{vm="1"} value`).
-    if metrics.is_enabled() {
-        let path = std::path::Path::new("target/experiments/quickstart.prom");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, metrics.prometheus()).unwrap();
-        println!(
-            "wrote {} — per-VM counters in Prometheus text format",
-            path.display()
-        );
-    }
+    let path = dir.join("quickstart.prom");
+    std::fs::write(&path, metrics.prometheus()).unwrap();
+    println!(
+        "wrote {} — per-VM counters in Prometheus text format",
+        path.display()
+    );
 }
