@@ -249,8 +249,8 @@ pub struct Machine {
     /// Decoded basic-block cache used by [`Machine::run_slice`]. Runtime
     /// switch in `bcache.enabled`.
     pub bcache: BlockCache,
-    /// Sampling profiler + flight recorder handle (disabled by default;
-    /// the kernel installs a shared one). Consulted at instruction
+    /// Sampling profiler handle (disabled by default; the kernel installs
+    /// a shared one). Consulted at instruction
     /// boundaries only — see [`Machine::profile_poll`].
     pub profiler: Profiler,
     /// Replay data-access hints, indexed `[read, write]`; see [`DataHint`].
@@ -369,18 +369,7 @@ impl Machine {
             let irq = IrqNum::pl(line);
             self.gic.raise(irq);
             self.log.push(now, SimEvent::IrqRaised(irq));
-            self.tracer.emit(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqSpurious as u8,
-                },
-            );
-            self.profiler.record_event(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqSpurious as u8,
-                },
-            );
+            self.tracer.emit(now, fault_event(FaultSite::IrqSpurious));
         }
         if self.fault.due(FaultSite::IrqStorm, now) {
             // A storm asserts every fabric line at once — the worst case
@@ -389,18 +378,7 @@ impl Machine {
                 self.gic.raise(IrqNum::pl(line));
             }
             self.log.push(now, SimEvent::Marker("irq-storm"));
-            self.tracer.emit(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqStorm as u8,
-                },
-            );
-            self.profiler.record_event(
-                now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::IrqStorm as u8,
-                },
-            );
+            self.tracer.emit(now, fault_event(FaultSite::IrqStorm));
         }
         if self.fault.due(FaultSite::MemFlip, now) {
             let window = self.fault.plan().map(|p| p.mem_flip_window);
@@ -412,18 +390,7 @@ impl Machine {
                     if let Ok(v) = self.mem.read_u32(pa) {
                         let _ = self.mem.write_u32(pa, v ^ (1 << bit));
                         self.log.push(now, SimEvent::Marker("mem-flip"));
-                        self.tracer.emit(
-                            now,
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::MemFlip as u8,
-                            },
-                        );
-                        self.profiler.record_event(
-                            now,
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::MemFlip as u8,
-                            },
-                        );
+                        self.tracer.emit(now, fault_event(FaultSite::MemFlip));
                     }
                 }
             }
@@ -517,18 +484,8 @@ impl Machine {
                 // AXI DECERR: the interconnect answers with the error
                 // pattern instead of reaching the device.
                 self.log.push(self.clock, SimEvent::Marker("axi-read-err"));
-                self.tracer.emit(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiReadError as u8,
-                    },
-                );
-                self.profiler.record_event(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiReadError as u8,
-                    },
-                );
+                self.tracer
+                    .emit(self.clock, fault_event(FaultSite::AxiReadError));
                 return Ok(0xFFFF_FFFF);
             }
             let Machine {
@@ -579,18 +536,8 @@ impl Machine {
                 // The interconnect drops the write (SLVERR on the response
                 // channel; the store itself never reaches the device).
                 self.log.push(self.clock, SimEvent::Marker("axi-write-err"));
-                self.tracer.emit(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiWriteError as u8,
-                    },
-                );
-                self.profiler.record_event(
-                    self.clock,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::AxiWriteError as u8,
-                    },
-                );
+                self.tracer
+                    .emit(self.clock, fault_event(FaultSite::AxiWriteError));
                 return Ok(());
             }
             let Machine {
@@ -2030,6 +1977,12 @@ fn map_cp15(r: MirCp15) -> Cp15Reg {
         // this mapping is consulted (see the Mrc/Mcr arms in `execute`).
         _ => unreachable!("PMU registers are handled by Machine::execute"),
     }
+}
+
+/// The trace event recording a fault-plane firing at `site` (the
+/// machine's and the PL's fault sites emit it alike).
+pub fn fault_event(site: FaultSite) -> TraceEvent {
+    TraceEvent::FaultInjected { site: site as u8 }
 }
 
 /// Convenience: construct a machine where the MMU is off and programs can

@@ -54,7 +54,7 @@ fn quad_lockstep_prog(
         m.gic.enable(IrqNum::PRIVATE_TIMER);
         m.ptimer.program_periodic(Cycles::new(period));
         let p = if profiled {
-            Profiler::enabled(SAMPLE_PERIOD, m.now(), 64)
+            Profiler::enabled(SAMPLE_PERIOD, m.now())
         } else {
             Profiler::disabled()
         };

@@ -43,9 +43,8 @@ use mnv_fpga::prr::status as prr_status;
 use mnv_hal::abi::ring::{self, desc_status};
 use mnv_hal::abi::{hw_task_result, HcError, HwTaskStatus};
 use mnv_hal::{HwTaskId, IrqNum, PhysAddr, VirtAddr, VmId};
-use mnv_metrics::Label;
 use mnv_trace::event::req_stage;
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
 
 use super::service::{HwMgr, DATA_SECTION_LEN};
@@ -53,7 +52,7 @@ use super::tables::ReqTag;
 use crate::kobj::pd::Pd;
 use crate::mem::pagetable::PtAlloc;
 use crate::slo::{iface_of, FAMILIES};
-use crate::stats::KernelStats;
+use crate::stats::{Count, Sinks};
 
 /// The in-flight descriptor currently owning the fabric (or the PCAP
 /// channel). Its open [`ReqTag`] is *not* stored here: it travels through
@@ -141,8 +140,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         ring_va: u64,
     ) -> Result<u32, HcError> {
@@ -253,8 +251,7 @@ impl HwMgr {
                 id: self.next_req,
                 started: now.raw(),
             };
-            stats.reqs_minted += 1;
-            tracer.emit(
+            obs.emit(
                 now,
                 TraceEvent::ReqSpan {
                     req: req.id,
@@ -262,22 +259,23 @@ impl HwMgr {
                     end: false,
                 },
             );
-            self.req_stamp(now, tracer, req, req_stage::RING_POST);
+            self.req_stamp(now, obs, req, req_stage::RING_POST);
             let doff = ring::desc_off(self.rings[ci].size, idx);
             let _ = m.phys_write_u32(base_pa + doff + ring::DESC_REQ, req.id);
             let _ = m.phys_write_u32(base_pa + doff + ring::DESC_STATUS, desc_status::PENDING);
             self.rings[ci].queued.push_back((idx, req));
         }
         self.rings[ci].avail_seen = avail;
-        stats.hwmgr.ring_kicks += 1;
-        stats.hwmgr.ring_descs += new as u64;
-        self.metrics.inc("ring_kicks", Label::Vm(caller.0 as u8));
+        obs.count(Count::RingKick {
+            vm: caller.0,
+            descs: new,
+        });
 
         // Drive the batch as far as the fabric allows right now; a drain
         // completed inside the kick still delivers its coalesced vIRQ
         // through the vGIC buffer (the caller is mid-hypercall).
-        if let Some((vm, line)) = self.ring_advance(m, pds, pt, stats, tracer, ci) {
-            self.ring_deliver(pds, stats, vm, line);
+        if let Some((vm, line)) = self.ring_advance(m, pds, pt, obs, ci) {
+            self.ring_deliver(pds, obs, vm, line);
         }
         Ok(new as u32)
     }
@@ -291,8 +289,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         ci: usize,
     ) -> Option<(VmId, IrqNum)> {
         // Nothing below re-enters the ring list, so the context can be
@@ -302,10 +299,10 @@ impl HwMgr {
         loop {
             if let Some(run) = ctx.active {
                 if run.await_pcap {
-                    match self.handle_pcap_poll(m, pds, pt, stats, tracer, ctx.vm) {
+                    match self.handle_pcap_poll(m, pds, pt, obs, ctx.vm) {
                         Ok(1) => {
                             ctx.active = None;
-                            self.ring_start_or_complete(m, pds, stats, tracer, &mut ctx, run);
+                            self.ring_start_or_complete(m, pds, obs, &mut ctx, run);
                             continue;
                         }
                         Ok(_) => break, // transfer still in flight
@@ -319,7 +316,7 @@ impl HwMgr {
                                 0,
                             );
                             let req = self.prrs.req_slot(run.prr).take();
-                            self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                            self.fail_req(m.now(), obs, req, ctx.vm, req_stage::FAILED);
                             continue;
                         }
                     }
@@ -330,7 +327,7 @@ impl HwMgr {
                 let disp = self.prrs.find_dispatch(ctx.vm, run.task);
                 if disp != Some(run.prr) || self.prrs.entry(run.prr).quarantined {
                     ctx.active = None;
-                    self.ring_complete_shadow(m, pds, stats, tracer, &mut ctx, &run);
+                    self.ring_complete_shadow(m, pds, obs, &mut ctx, &run);
                     continue;
                 }
                 let status = self.prr_status(m, run.prr);
@@ -345,15 +342,7 @@ impl HwMgr {
                         .phys_read_u32(dev + 4 * prr_regs::RESULT_LEN as u64)
                         .unwrap_or(0);
                     self.ring_publish(m, &mut ctx, run.idx, desc_status::OK, rl);
-                    self.finish_req(
-                        m.now(),
-                        tracer,
-                        stats,
-                        req,
-                        ctx.vm,
-                        ctx.family,
-                        req_stage::RING_DONE,
-                    );
+                    self.finish_req(m.now(), obs, req, ctx.vm, ctx.family, req_stage::RING_DONE);
                 } else {
                     // ERROR — or a foreign status meaning the region was
                     // reprogrammed under the run.
@@ -370,7 +359,7 @@ impl HwMgr {
                         desc_status::ERR_DEVICE | (code << 8),
                         0,
                     );
-                    self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                    self.fail_req(m.now(), obs, req, ctx.vm, req_stage::FAILED);
                 }
                 continue;
             }
@@ -412,15 +401,14 @@ impl HwMgr {
                     desc_status::ERR_REJECTED | (hc_code(HcError::BadArg) << 8),
                     0,
                 );
-                self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                self.fail_req(m.now(), obs, req, ctx.vm, req_stage::FAILED);
                 continue;
             }
             match self.handle_request(
                 m,
                 pds,
                 pt,
-                stats,
-                tracer,
+                obs,
                 ctx.vm,
                 task,
                 ctx.iface_va,
@@ -441,7 +429,7 @@ impl HwMgr {
                         desc_status::ERR_REJECTED | (hc_code(e) << 8),
                         0,
                     );
-                    self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+                    self.fail_req(m.now(), obs, req, ctx.vm, req_stage::FAILED);
                     continue;
                 }
                 Ok(v) => {
@@ -450,7 +438,7 @@ impl HwMgr {
                     if v & hw_task_result::DEGRADED != 0 {
                         // Shadow-backed dispatch (the request now lives in
                         // the shadow's slot): complete it synchronously.
-                        self.ring_complete_shadow(m, pds, stats, tracer, &mut ctx, &run);
+                        self.ring_complete_shadow(m, pds, obs, &mut ctx, &run);
                         continue;
                     }
                     let line = (v >> 16) & 0xFF;
@@ -479,8 +467,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         ctx: &mut RingCtx,
         mut run: RingRun,
     ) {
@@ -494,7 +481,7 @@ impl HwMgr {
                 self.ring_program_start(m, pds, ctx, &run);
                 ctx.active = Some(run);
             }
-            _ => self.ring_complete_shadow(m, pds, stats, tracer, ctx, &run),
+            _ => self.ring_complete_shadow(m, pds, obs, ctx, &run),
         }
     }
 
@@ -542,8 +529,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         ctx: &mut RingCtx,
         run: &RingRun,
     ) {
@@ -586,7 +572,7 @@ impl HwMgr {
                 (ds.pa.raw() + run.dst_off as u64) as u32,
             );
             w(m, prr_regs::DST_LEN, run.dst_cap);
-            self.serve_one(m, pds, stats, tracer, &mut s, prr_ctrl::START);
+            self.serve_one(m, pds, obs, &mut s, prr_ctrl::START);
         }
         let status = m
             .phys_read_u32(s.page + 4 * prr_regs::STATUS as u64)
@@ -596,21 +582,13 @@ impl HwMgr {
                 .phys_read_u32(s.page + 4 * prr_regs::RESULT_LEN as u64)
                 .unwrap_or(0);
             self.ring_publish(m, ctx, run.idx, desc_status::OK_DEGRADED, rl);
-            self.finish_req(
-                m.now(),
-                tracer,
-                stats,
-                req,
-                ctx.vm,
-                ctx.family,
-                req_stage::RING_DONE,
-            );
+            self.finish_req(m.now(), obs, req, ctx.vm, ctx.family, req_stage::RING_DONE);
         } else {
             let code = m
                 .phys_read_u32(s.page + 4 * prr_regs::PARAM0 as u64)
                 .unwrap_or(0);
             self.ring_publish(m, ctx, run.idx, desc_status::ERR_DEVICE | (code << 8), 0);
-            self.fail_req(m.now(), tracer, req, ctx.vm, req_stage::FAILED);
+            self.fail_req(m.now(), obs, req, ctx.vm, req_stage::FAILED);
         }
         self.shadows.push(s);
     }
@@ -640,12 +618,11 @@ impl HwMgr {
     fn ring_deliver(
         &mut self,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
+        obs: &mut Sinks<'_>,
         vm: VmId,
         line: IrqNum,
     ) {
-        stats.hwmgr.ring_virqs += 1;
-        self.metrics.inc("ring_virqs", Label::Vm(vm.0 as u8));
+        obs.count(Count::RingVirq { vm: vm.0 });
         if let Some(pd) = pds.get_mut(&vm) {
             pd.vgic.buffer(line);
             if pd.vgic.is_enabled(line) {
@@ -663,16 +640,15 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         only: Option<VmId>,
     ) {
         let mut i = 0;
         while i < self.rings.len() {
             let r = &self.rings[i];
             if r.has_work() && only.is_none_or(|vm| r.vm == vm) {
-                if let Some((vm, line)) = self.ring_advance(m, pds, pt, stats, tracer, i) {
-                    self.ring_deliver(pds, stats, vm, line);
+                if let Some((vm, line)) = self.ring_advance(m, pds, pt, obs, i) {
+                    self.ring_deliver(pds, obs, vm, line);
                 }
             }
             i += 1;
@@ -682,12 +658,12 @@ impl HwMgr {
     /// Drop `vm`'s rings at teardown, failing every queued request. The
     /// active run's request lives in a PRR/shadow slot and is closed by
     /// [`HwMgr::forget_vm_reqs`]'s table sweeps.
-    pub(crate) fn forget_vm_rings(&mut self, now: mnv_hal::Cycles, tracer: &Tracer, vm: VmId) {
+    pub(crate) fn forget_vm_rings(&mut self, now: mnv_hal::Cycles, obs: &mut Sinks<'_>, vm: VmId) {
         let rings = std::mem::take(&mut self.rings);
         for r in rings {
             if r.vm == vm {
                 for (_, req) in r.queued {
-                    self.fail_req(now, tracer, req, vm, req_stage::FAILED);
+                    self.fail_req(now, obs, req, vm, req_stage::FAILED);
                 }
             } else {
                 self.rings.push(r);

@@ -19,10 +19,10 @@ use mnv_fpga::prr::regs as prr_regs;
 use mnv_fpga::prr::status as prr_status;
 use mnv_hal::abi::{data_section, hw_task_result, HcError, HwTaskState, HwTaskStatus};
 use mnv_hal::{Cycles, Domain, HwTaskId, IrqNum, PhysAddr, VirtAddr, VmId};
-use mnv_metrics::{Label, Registry};
-use mnv_profile::{Profiler, SampleCtx};
+use mnv_metrics::Label;
+use mnv_profile::SampleCtx;
 use mnv_trace::event::{iface_name, req_stage};
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
 use super::irqalloc::PlIrqAllocator;
@@ -30,8 +30,9 @@ use super::tables::{HwTaskTable, PrrTable, ReqTag};
 use crate::kobj::pd::{DataSection, Pd};
 use crate::mem::layout::{self, ktext};
 use crate::mem::pagetable::{self, PtAlloc};
+use crate::postmortem;
 use crate::slo::{iface_of, SloTracker};
-use crate::stats::KernelStats;
+use crate::stats::{Count, Sinks};
 use crate::supervisor::{timing, FabricJob, Ladder, PrrHealth};
 
 /// Fixed hardware-task data-section length (the guests' convention).
@@ -172,15 +173,6 @@ pub struct HwMgr {
     /// update stages are skipped (§V-B: "in native uCOS-II, the hardware
     /// task manager service does not need to update the page tables").
     pub native: bool,
-    /// Metrics registry handle (a disabled no-op unless the kernel's
-    /// `enable_metrics` installed a live clone); mirrors the fault-path
-    /// counters so harnesses can cross-check them against `KernelStats`.
-    pub metrics: Registry,
-    /// Profiler handle (a disabled no-op unless the kernel's
-    /// `enable_profiling` installed a live clone): samples taken inside
-    /// the allocation routine attribute to the active Fig. 7 stage, and
-    /// quarantine / watchdog aborts trigger post-mortem dumps.
-    pub profiler: Profiler,
     /// Monotonic `ReqId` mint counter. Incremented unconditionally on
     /// every HwTaskRequest hypercall — enabling tracing must not change
     /// the id sequence (lockstep bit-identity).
@@ -237,8 +229,6 @@ impl HwMgr {
             ladder_relocate_timeout: timing::LADDER_RELOCATE_TIMEOUT,
             scrub_interval: timing::SCRUB_INTERVAL,
             native,
-            metrics: Registry::disabled(),
-            profiler: Profiler::disabled(),
             next_req: 0,
             slo: SloTracker::new(),
             pending_resume: Vec::new(),
@@ -301,21 +291,23 @@ impl HwMgr {
     }
 
     /// Mark entry into stage `stage` (1-6 of Fig. 7): samples taken until
-    /// the next marker attribute to it, the transition is logged in the
-    /// flight-recorder ring, and the open request (if any) gets a stage
-    /// stamp in its causal waterfall.
-    fn stage(&self, m: &Machine, tracer: &Tracer, req: ReqTag, stage: u8) {
-        self.profiler.swap_ctx(SampleCtx::DprStage(stage));
-        self.profiler
-            .record_event(m.now(), TraceEvent::DprStage { stage });
-        self.req_stamp(m.now(), tracer, req, stage);
+    /// the next marker attribute to it, the transition is emitted as
+    /// `DprStage` (flight recorder only; stage 1 counts an invocation,
+    /// stage 5 a reconfiguration), and the open request (if any) gets a
+    /// stage stamp in its causal waterfall. Returns the sampling context
+    /// it replaced.
+    fn stage(&self, m: &Machine, obs: &mut Sinks<'_>, req: ReqTag, stage: u8) -> SampleCtx {
+        let outer = obs.profiler.swap_ctx(SampleCtx::DprStage(stage));
+        obs.emit(m.now(), TraceEvent::DprStage { stage });
+        self.req_stamp(m.now(), obs, req, stage);
+        outer
     }
 
     /// Stamp one causal hop into an open request's waterfall (no-op for
     /// the absent tag). Pure observation: charges nothing.
-    pub(crate) fn req_stamp(&self, now: Cycles, tracer: &Tracer, req: ReqTag, stage: u8) {
+    pub(crate) fn req_stamp(&self, now: Cycles, obs: &mut Sinks<'_>, req: ReqTag, stage: u8) {
         if req.is_open() {
-            tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
+            obs.emit(now, TraceEvent::ReqStage { req: req.id, stage });
         }
     }
 
@@ -323,12 +315,10 @@ impl HwMgr {
     /// observing its end-to-end latency in the `req_latency` histogram
     /// (with the request id as the exemplar) and against the interface
     /// family's SLO. No-op for the absent tag.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_req(
         &mut self,
         now: Cycles,
-        tracer: &Tracer,
-        stats: &mut KernelStats,
+        obs: &mut Sinks<'_>,
         req: ReqTag,
         vm: VmId,
         iface: u8,
@@ -337,8 +327,8 @@ impl HwMgr {
         if !req.is_open() {
             return;
         }
-        tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
-        tracer.emit(
+        obs.emit(now, TraceEvent::ReqStage { req: req.id, stage });
+        obs.emit(
             now,
             TraceEvent::ReqSpan {
                 req: req.id,
@@ -347,7 +337,7 @@ impl HwMgr {
             },
         );
         let latency = now.raw().saturating_sub(req.started);
-        self.metrics.observe(
+        obs.metrics.observe(
             "req_latency",
             Label::Iface(iface_name(iface)),
             latency,
@@ -355,17 +345,10 @@ impl HwMgr {
         );
         let outcome = self.slo.observe(iface, latency, now.raw());
         if outcome.violated {
-            stats.slo_violations += 1;
-            self.metrics
-                .inc("slo_violations", Label::Iface(iface_name(iface)));
+            obs.count(Count::SloViolation { iface });
         }
         if let Some(violations) = outcome.burned {
-            stats.slo_burns += 1;
-            self.metrics
-                .inc("slo_burns", Label::Iface(iface_name(iface)));
-            let ev = TraceEvent::SloBurn { iface, violations };
-            tracer.emit(now, ev);
-            self.profiler.record_event(now, ev);
+            obs.emit(now, TraceEvent::SloBurn { iface, violations });
         }
     }
 
@@ -373,12 +356,19 @@ impl HwMgr {
     /// status, a release, or a superseding request). Stamps `stage`
     /// (`FAILED` or `RELEASED`) and ends the root span; no SLO
     /// observation — the guest did not get a service completion.
-    pub(crate) fn fail_req(&self, now: Cycles, tracer: &Tracer, req: ReqTag, vm: VmId, stage: u8) {
+    pub(crate) fn fail_req(
+        &self,
+        now: Cycles,
+        obs: &mut Sinks<'_>,
+        req: ReqTag,
+        vm: VmId,
+        stage: u8,
+    ) {
         if !req.is_open() {
             return;
         }
-        tracer.emit(now, TraceEvent::ReqStage { req: req.id, stage });
-        tracer.emit(
+        obs.emit(now, TraceEvent::ReqStage { req: req.id, stage });
+        obs.emit(
             now,
             TraceEvent::ReqSpan {
                 req: req.id,
@@ -391,9 +381,9 @@ impl HwMgr {
     /// Attach an open request to a PRR's completion slot. A stale request
     /// still parked there is closed as released first — its completion
     /// can no longer be told apart from the new one.
-    fn attach_req(&mut self, now: Cycles, tracer: &Tracer, prr: u8, vm: VmId, req: ReqTag) {
+    fn attach_req(&mut self, now: Cycles, obs: &mut Sinks<'_>, prr: u8, vm: VmId, req: ReqTag) {
         let old = std::mem::replace(self.prrs.req_slot(prr), req);
-        self.fail_req(now, tracer, old, vm, req_stage::RELEASED);
+        self.fail_req(now, obs, old, vm, req_stage::RELEASED);
     }
 
     /// Interface family of the task currently resident in `prr`.
@@ -408,13 +398,7 @@ impl HwMgr {
 
     /// Close the `resume` hop of every completion buffered toward `vm` —
     /// called when the VM is switched in and its buffered vIRQs drain.
-    pub(crate) fn drain_resumes(
-        &mut self,
-        now: Cycles,
-        tracer: &Tracer,
-        stats: &mut KernelStats,
-        vm: VmId,
-    ) {
+    pub(crate) fn drain_resumes(&mut self, now: Cycles, obs: &mut Sinks<'_>, vm: VmId) {
         // Single pass: partition out this VM's entries in posting order,
         // keep everyone else's in place. (`Vec::remove` in a scan loop
         // shifted the tail on every hit — O(n²) under completion storms.)
@@ -428,21 +412,21 @@ impl HwMgr {
             }
         }
         for p in mine {
-            self.finish_req(now, tracer, stats, p.req, vm, p.iface, req_stage::RESUME);
+            self.finish_req(now, obs, p.req, vm, p.iface, req_stage::RESUME);
         }
     }
 
     /// Drop every open request owned by `vm` (VM teardown): buffered
     /// resumes, PRR slots and shadow dispatches all close as failed.
-    pub(crate) fn forget_vm_reqs(&mut self, now: Cycles, tracer: &Tracer, vm: VmId) {
+    pub(crate) fn forget_vm_reqs(&mut self, now: Cycles, obs: &mut Sinks<'_>, vm: VmId) {
         // Ring teardown first: its queued requests are owned by the ring
         // alone; an active run's request is caught by the sweeps below.
-        self.forget_vm_rings(now, tracer, vm);
+        self.forget_vm_rings(now, obs, vm);
         // Same single-pass FIFO drain as `drain_resumes`.
         let pending = std::mem::take(&mut self.pending_resume);
         for p in pending {
             if p.vm == vm {
-                self.fail_req(now, tracer, p.req, vm, req_stage::FAILED);
+                self.fail_req(now, obs, p.req, vm, req_stage::FAILED);
             } else {
                 self.pending_resume.push(p);
             }
@@ -450,13 +434,13 @@ impl HwMgr {
         for prr in 0..self.prrs.len() as u8 {
             if self.prrs.entry(prr).client == Some(vm) {
                 let old = self.prrs.req_slot(prr).take();
-                self.fail_req(now, tracer, old, vm, req_stage::FAILED);
+                self.fail_req(now, obs, old, vm, req_stage::FAILED);
             }
         }
         for i in 0..self.shadows.len() {
             if self.shadows[i].vm == vm {
                 let old = self.shadows[i].req.take();
-                self.fail_req(now, tracer, old, vm, req_stage::FAILED);
+                self.fail_req(now, obs, old, vm, req_stage::FAILED);
             }
         }
     }
@@ -523,15 +507,14 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         prr: u8,
-        stats: &mut KernelStats,
+        obs: &mut Sinks<'_>,
     ) {
         let (old_vm, old_task, iface_va) = {
             let e = self.prrs.entry(prr);
             (e.client, e.task, e.iface_va)
         };
         let Some(old_vm) = old_vm else { return };
-        stats.hwmgr.reclaims += 1;
-        self.metrics.inc("hwmgr_reclaims", Label::Machine);
+        obs.count(Count::Reclaim);
 
         // Save the 16 interface registers (charged MMIO reads).
         let page = Pl::prr_page(prr);
@@ -593,8 +576,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         iface_va: VirtAddr,
@@ -604,14 +586,9 @@ impl HwMgr {
         // Stage attribution brackets the whole allocation routine; the
         // caller's context (the HwTaskRequest hypercall) is restored on
         // every exit path, early returns included.
-        let outer = self.profiler.swap_ctx(SampleCtx::DprStage(1));
-        self.profiler
-            .record_event(m.now(), TraceEvent::DprStage { stage: 1 });
-        self.req_stamp(m.now(), tracer, req, 1);
-        let r = self.request_inner(
-            m, pds, pt, stats, tracer, caller, task, iface_va, data_va, req,
-        );
-        self.profiler.swap_ctx(outer);
+        let outer = self.stage(m, obs, req, 1);
+        let r = self.request_inner(m, pds, pt, obs, caller, task, iface_va, data_va, req);
+        obs.profiler.swap_ctx(outer);
         r
     }
 
@@ -621,8 +598,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         iface_va: VirtAddr,
@@ -630,7 +606,6 @@ impl HwMgr {
         req: ReqTag,
     ) -> Result<u32, HcError> {
         self.touch_code(m, 24);
-        stats.hwmgr.invocations += 1;
         self.charge_allocation_work(m);
         // A fresh request opens a fresh escalation budget.
         self.relocations.remove(&(caller, task));
@@ -674,8 +649,8 @@ impl HwMgr {
                 {
                     self.shadows[i].ds = ds;
                     let old = std::mem::replace(&mut self.shadows[i].req, req);
-                    self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
-                    self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+                    self.fail_req(m.now(), obs, old, caller, req_stage::RELEASED);
+                    self.req_stamp(m.now(), obs, req, req_stage::SW_DISPATCH);
                 }
                 return Ok(HwTaskStatus::Success as u32
                     | ((prr as u32) << 8)
@@ -692,7 +667,7 @@ impl HwMgr {
                 .position(|s| s.vm == caller && s.task == task && s.promote_to == Some(prr))
             {
                 let s = self.shadows.remove(idx);
-                self.transplant(m, pds, pt, stats, tracer, &s, prr, 0);
+                self.transplant(m, pds, pt, obs, &s, prr, 0);
             }
             // Re-establish the interface mapping: a client that reuses
             // one interface slot across tasks has since pointed this VA
@@ -719,7 +694,7 @@ impl HwMgr {
             }
             self.prrs.entry_mut(m, prr).iface_va = Some(iface_va.raw());
             self.program_hwmmu(m, prr, ds);
-            self.attach_req(m.now(), tracer, prr, caller, req);
+            self.attach_req(m.now(), obs, prr, caller, req);
             let line = self
                 .irqs
                 .alloc(caller, prr)
@@ -742,7 +717,7 @@ impl HwMgr {
             .any(|s| s.vm == caller && s.task == task)
         {
             if let Some(prr) = self.select_prr(m, &entry_prrs, task) {
-                self.drop_shadow_of(m, pds, tracer, caller, task);
+                self.drop_shadow_of(m, pds, obs, caller, task);
                 if let Some(pd) = pds.get_mut(&caller) {
                     if !self.native {
                         if let Some(&(va, _)) = pd.iface_maps.get(&task) {
@@ -751,17 +726,14 @@ impl HwMgr {
                     }
                     pd.iface_maps.remove(&task);
                 }
-                stats.hwmgr.repromotions += 1;
-                self.metrics.inc("repromotions", Label::Machine);
-                self.metrics
-                    .inc("vm_repromotions", Label::Vm(caller.0 as u8));
-                let ev = TraceEvent::Repromote {
-                    vm: caller.0,
-                    task: task.0 as u32,
-                    prr,
-                };
-                tracer.emit(m.now(), ev);
-                self.profiler.record_event(m.now(), ev);
+                obs.emit(
+                    m.now(),
+                    TraceEvent::Repromote {
+                        vm: caller.0,
+                        task: task.0 as u32,
+                        prr,
+                    },
+                );
             } else if let Some(i) = self
                 .shadows
                 .iter()
@@ -769,8 +741,8 @@ impl HwMgr {
             {
                 self.shadows[i].ds = ds;
                 let old = std::mem::replace(&mut self.shadows[i].req, req);
-                self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
-                self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+                self.fail_req(m.now(), obs, old, caller, req_stage::RELEASED);
+                self.req_stamp(m.now(), obs, req, req_stage::SW_DISPATCH);
                 return Ok(HwTaskStatus::Success as u32
                     | (hw_task_result::NO_PRR << 8)
                     | (hw_task_result::NO_LINE << 16)
@@ -778,21 +750,19 @@ impl HwMgr {
             }
         }
 
-        self.stage(m, tracer, req, 2);
+        self.stage(m, obs, req, 2);
         let Some(prr) = self.select_prr(m, &entry_prrs, task) else {
             if !entry_prrs.is_empty() && entry_prrs.iter().all(|&p| self.prrs.entry(p).quarantined)
             {
                 // Every region this task fits is out of service: degrade
                 // to a pure-software dispatch instead of failing forever.
-                return self.dispatch_software(
-                    m, pds, pt, stats, tracer, caller, task, core, iface_va, ds, req,
-                );
+                return self
+                    .dispatch_software(m, pds, pt, obs, caller, task, core, iface_va, ds, req);
             }
             // Fig. 7 stage 2: "if no idle PRR is available, the manager
             // service would return to the applicant guest OS with a Busy
             // status".
-            stats.hwmgr.busy += 1;
-            self.metrics.inc("hwmgr_busy", Label::Machine);
+            obs.count(Count::Busy);
             return Err(HcError::Busy);
         };
 
@@ -800,11 +770,11 @@ impl HwMgr {
         // between stages 2 and 3).
         let needs_reconfig = self.prrs.entry(prr).task != Some(task);
         if self.prrs.entry(prr).client.is_some() {
-            self.reclaim(m, pds, prr, stats);
+            self.reclaim(m, pds, prr, obs);
         }
 
         // Stage 3: map the interface page into the caller.
-        self.stage(m, tracer, req, 3);
+        self.stage(m, obs, req, 3);
         if !self.native {
             let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
             pagetable::map_page(
@@ -830,7 +800,7 @@ impl HwMgr {
         }
 
         // Stage 4: load the hwMMU with the client's data section.
-        self.stage(m, tracer, req, 4);
+        self.stage(m, obs, req, 4);
         self.program_hwmmu(m, prr, ds);
 
         // §IV-D: allocate a PL IRQ line and register it in the vGIC. The
@@ -865,13 +835,11 @@ impl HwMgr {
             e.iface_va = Some(iface_va.raw());
             e.dispatches += 1;
         }
-        self.attach_req(m.now(), tracer, prr, caller, req);
+        self.attach_req(m.now(), obs, prr, caller, req);
 
         // Stage 5: launch the PCAP download if the task is not resident.
         if needs_reconfig {
-            self.stage(m, tracer, req, 5);
-            stats.hwmgr.reconfigs += 1;
-            self.metrics.inc("hwmgr_reconfigs", Label::Machine);
+            self.stage(m, obs, req, 5);
             // Client reconfigurations always win the channel: a background
             // scrub/relocation load in flight is aborted and rescheduled.
             self.cancel_fabric_job(m);
@@ -891,16 +859,16 @@ impl HwMgr {
                 started_at: m.now().raw(),
                 req,
             });
-            self.req_stamp(m.now(), tracer, req, req_stage::PCAP_LAUNCH);
+            self.req_stamp(m.now(), obs, req, req_stage::PCAP_LAUNCH);
             if let Some(pd) = pds.get_mut(&caller) {
                 pd.pcap_pending = Some(task);
             }
             // Stage 6: return immediately with the reconfig flag — the
             // manager "does not check the completion of the PCAP transfer".
-            self.stage(m, tracer, req, 6);
+            self.stage(m, obs, req, 6);
             return Ok(HwTaskStatus::Reconfiguring as u32 | ((prr as u32) << 8) | (line_idx << 16));
         }
-        self.stage(m, tracer, req, 6);
+        self.stage(m, obs, req, 6);
         Ok(HwTaskStatus::Success as u32 | ((prr as u32) << 8) | (line_idx << 16))
     }
 
@@ -916,22 +884,22 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
     ) -> Result<u32, HcError> {
         self.touch_code(m, 8);
         let Some(prr) = self.prrs.find_dispatch(caller, task) else {
-            return self.release_shadow(m, pds, tracer, caller, task);
+            return self.release_shadow(m, pds, obs, caller, task);
         };
         // A release closes whatever request was still waiting on the
         // dispatch — its completion will never be attributed.
         let old = self.prrs.req_slot(prr).take();
-        self.fail_req(m.now(), tracer, old, caller, req_stage::RELEASED);
+        self.fail_req(m.now(), obs, old, caller, req_stage::RELEASED);
         // A quarantined region's client was migrated to a shadow page;
         // dropping the dispatch drops the shadow too (and frees its page
         // and parked completion line).
-        self.drop_shadow_of(m, pds, tracer, caller, task);
+        self.drop_shadow_of(m, pds, obs, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         if !self.native {
@@ -966,7 +934,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         vm: VmId,
         task: HwTaskId,
     ) {
@@ -978,7 +946,7 @@ impl HwMgr {
             return;
         };
         let s = self.shadows.remove(idx);
-        self.fail_req(m.now(), tracer, s.req, vm, req_stage::RELEASED);
+        self.fail_req(m.now(), obs, s.req, vm, req_stage::RELEASED);
         self.free_shadow_page(s.page);
         if let Some(line) = s.line {
             if let Some(li) = line.pl_index() {
@@ -997,7 +965,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
     ) -> Result<u32, HcError> {
@@ -1008,7 +976,7 @@ impl HwMgr {
         {
             return Err(HcError::NotFound);
         }
-        self.drop_shadow_of(m, pds, tracer, caller, task);
+        self.drop_shadow_of(m, pds, obs, caller, task);
         self.relocations.remove(&(caller, task));
         let pd = pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         if !self.native {
@@ -1030,8 +998,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
         task: HwTaskId,
         core: CoreKind,
@@ -1084,10 +1051,8 @@ impl HwMgr {
             promote_to: None,
             req,
         });
-        self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
-        stats.hwmgr.sw_fallbacks += 1;
-        self.metrics.inc("sw_fallbacks", Label::Machine);
-        tracer.emit(
+        self.req_stamp(m.now(), obs, req, req_stage::SW_DISPATCH);
+        obs.emit(
             m.now(),
             TraceEvent::SwFallback {
                 vm: caller.0,
@@ -1122,8 +1087,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
     ) {
         let now = m.now().raw();
 
@@ -1132,12 +1096,8 @@ impl HwMgr {
             let status = m.phys_read_u32(ctrl_reg(plregs::PCAP_STATUS)).unwrap_or(0);
             if status == pcap_status::BUSY && now > job.stall_deadline() {
                 let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
-                self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_ABORT);
-                if self.profiler.has_flight_events() {
-                    let ctx = crate::postmortem::context(m, pds, Some(job.vm), &self.metrics);
-                    self.profiler
-                        .trigger_dump("pcap-watchdog-abort", m.now(), ctx);
-                }
+                self.req_stamp(m.now(), obs, job.req, req_stage::PCAP_ABORT);
+                postmortem::dump(obs, m, pds, Some(job.vm), "pcap-watchdog-abort");
             }
         }
 
@@ -1157,53 +1117,45 @@ impl HwMgr {
             let since = *self.busy_since[prr as usize].get_or_insert(now);
             if let Some(l) = self.ladders.get(&prr) {
                 if now > l.deadline {
-                    self.ladder_advance(m, pds, pt, stats, tracer, prr, now);
+                    self.ladder_advance(m, pds, pt, obs, prr, now);
                 }
             } else if now.saturating_sub(since) > self.watchdog_timeout {
                 if self.prrs.entry(prr).client.is_some() {
-                    self.ladder_retry(m, stats, tracer, prr, now);
+                    self.ladder_retry(m, obs, prr, now);
                 } else {
                     // No client to preserve: skip the ladder.
-                    let _ = self.quarantine(m, pds, pt, stats, tracer, prr);
+                    let _ = self.quarantine(m, pds, pt, obs, prr);
                 }
             }
         }
 
         // 3. Shadow service.
-        self.serve_shadows(m, pds, pt, stats, tracer);
+        self.serve_shadows(m, pds, pt, obs);
 
         // 4. Background fabric maintenance.
-        self.fabric_tick(m, pds, pt, stats, tracer);
+        self.fabric_tick(m, pds, pt, obs);
 
         // 5. Ring service: drive shared-ring batches whose owners are
         //    descheduled or idle (a running owner's poll path drives its
         //    own rings between these passes).
-        self.ring_tick(m, pds, pt, stats, tracer, None);
+        self.ring_tick(m, pds, pt, obs, None);
     }
 
-    /// The bookkeeping every quarantine shares: count it (stats and
-    /// metrics), emit and flight-record `PrrQuarantine`, capture a
-    /// post-mortem when the flight recorder holds anything, and restart
+    /// The bookkeeping every quarantine shares: emit `PrrQuarantine`
+    /// (counted by the fold), capture a post-mortem when the flight
+    /// recorder holds anything, and restart
     /// the region's watchdog and scrub cycle (a fresh quarantine is due
     /// for scrubbing immediately).
     pub(crate) fn note_quarantine(
         &mut self,
         m: &Machine,
         pds: &BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         prr: u8,
     ) {
-        stats.hwmgr.quarantines += 1;
-        self.metrics.inc("quarantines", Label::Machine);
-        let ev = TraceEvent::PrrQuarantine { prr };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
-        if self.profiler.has_flight_events() {
-            let vm = self.prrs.entry(prr).client;
-            let ctx = crate::postmortem::context(m, pds, vm, &self.metrics);
-            self.profiler.trigger_dump("prr-quarantine", m.now(), ctx);
-        }
+        obs.emit(m.now(), TraceEvent::PrrQuarantine { prr });
+        let vm = self.prrs.entry(prr).client;
+        postmortem::dump(obs, m, pds, vm, "prr-quarantine");
         self.busy_since[prr as usize] = None;
         self.health[prr as usize] = PrrHealth::default();
     }
@@ -1221,11 +1173,10 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         prr: u8,
     ) -> bool {
-        self.note_quarantine(m, pds, stats, tracer, prr);
+        self.note_quarantine(m, pds, obs, prr);
         self.ladders.remove(&prr);
         self.prrs.entry_mut(m, prr).quarantined = true;
 
@@ -1291,7 +1242,7 @@ impl HwMgr {
         // The open request follows its client onto the shadow: whatever
         // completes the migrated dispatch closes it.
         let req = self.prrs.req_slot(prr).take();
-        self.req_stamp(m.now(), tracer, req, req_stage::SW_DISPATCH);
+        self.req_stamp(m.now(), obs, req, req_stage::SW_DISPATCH);
         let mut shadow = SwShadow {
             vm,
             task,
@@ -1307,7 +1258,7 @@ impl HwMgr {
         // The wedged run: the guest is polling STATUS (or waiting on the
         // completion IRQ) — finish it on the CPU now.
         if regs[prr_regs::STATUS] == prr_status::BUSY {
-            self.serve_one(m, pds, stats, tracer, &mut shadow, regs[prr_regs::CTRL]);
+            self.serve_one(m, pds, obs, &mut shadow, regs[prr_regs::CTRL]);
         }
         self.shadows.push(shadow);
         true
@@ -1321,8 +1272,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
     ) {
         let shadows = std::mem::take(&mut self.shadows);
         let mut kept = Vec::with_capacity(shadows.len());
@@ -1337,9 +1287,9 @@ impl HwMgr {
             if let Some(prr) = s.promote_to {
                 // Promoted: hand the request to the fabric and drop the
                 // shadow — the dispatch is hardware-backed from here on.
-                self.transplant(m, pds, pt, stats, tracer, &s, prr, ctrl);
+                self.transplant(m, pds, pt, obs, &s, prr, ctrl);
             } else {
-                self.serve_one(m, pds, stats, tracer, &mut s, ctrl);
+                self.serve_one(m, pds, obs, &mut s, ctrl);
                 kept.push(s);
             }
         }
@@ -1356,8 +1306,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         s: &mut SwShadow,
         ctrl: u32,
     ) {
@@ -1385,19 +1334,19 @@ impl HwMgr {
         let _ = m.phys_write_u32(page + 4 * prr_regs::CTRL as u64, ctrl & prr_ctrl::IRQ_EN);
         if !in_window(src, src_len) || !in_window(dst, out_len) {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            self.fail_req(m.now(), obs, s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         if out_len > dst_cap {
             fail(m, prr_errcode::DST_OVERFLOW);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            self.fail_req(m.now(), obs, s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
 
         let mut input = vec![0u8; src_len as usize];
         if m.phys_read_block(PhysAddr::new(src), &mut input).is_err() {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            self.fail_req(m.now(), obs, s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         // The same functional model the fabric runs — the output bytes are
@@ -1407,7 +1356,7 @@ impl HwMgr {
         m.charge(sw_cycles);
         if m.phys_write_block(PhysAddr::new(dst), &output).is_err() {
             fail(m, prr_errcode::HWMMU_VIOLATION);
-            self.fail_req(m.now(), tracer, s.req.take(), s.vm, req_stage::FAILED);
+            self.fail_req(m.now(), obs, s.req.take(), s.vm, req_stage::FAILED);
             return;
         }
         let _ = m.phys_write_u32(page + 4 * prr_regs::RESULT_LEN as u64, output.len() as u32);
@@ -1416,9 +1365,7 @@ impl HwMgr {
 
         // A completed (software) round trip ends the no-completion streak.
         self.relocations.remove(&(s.vm, s.task));
-        stats.hwmgr.sw_fallbacks += 1;
-        self.metrics.inc("sw_fallbacks", Label::Machine);
-        tracer.emit(
+        obs.emit(
             m.now(),
             TraceEvent::SwFallback {
                 vm: s.vm.0,
@@ -1441,8 +1388,8 @@ impl HwMgr {
         if buffered && req.is_open() {
             // The request stays open through the buffered delivery; the
             // owner's next switch-in closes it at the `resume` hop.
-            self.req_stamp(m.now(), tracer, req, req_stage::SW_DONE);
-            self.req_stamp(m.now(), tracer, req, req_stage::VIRQ_BUFFER);
+            self.req_stamp(m.now(), obs, req, req_stage::SW_DONE);
+            self.req_stamp(m.now(), obs, req, req_stage::VIRQ_BUFFER);
             self.pending_resume.push(PendingResume {
                 vm: s.vm,
                 req,
@@ -1452,8 +1399,7 @@ impl HwMgr {
             // Polling dispatch: publishing DONE is the completion.
             self.finish_req(
                 m.now(),
-                tracer,
-                stats,
+                obs,
                 req,
                 s.vm,
                 iface_of(s.core),
@@ -1500,8 +1446,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         caller: VmId,
     ) -> Result<u32, HcError> {
         if pds
@@ -1518,8 +1463,8 @@ impl HwMgr {
                 pd.pcap_pending = None;
             }
             if let Some(job) = self.pcap_job {
-                self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_DONE);
-                self.metrics.observe(
+                self.req_stamp(m.now(), obs, job.req, req_stage::PCAP_DONE);
+                obs.metrics.observe(
                     "pcap_latency",
                     Label::Prr(job.prr),
                     m.now().raw().saturating_sub(job.started_at),
@@ -1535,23 +1480,14 @@ impl HwMgr {
                 if let Some(mut job) = self.pcap_job {
                     if job.attempts < self.max_pcap_retries {
                         job.attempts += 1;
-                        stats.hwmgr.pcap_retries += 1;
-                        self.metrics.inc("pcap_retries", Label::Machine);
-                        tracer.emit(
+                        obs.emit(
                             m.now(),
                             TraceEvent::PcapRetry {
                                 prr: job.prr,
                                 attempt: job.attempts,
                             },
                         );
-                        self.profiler.record_event(
-                            m.now(),
-                            TraceEvent::PcapRetry {
-                                prr: job.prr,
-                                attempt: job.attempts,
-                            },
-                        );
-                        self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_RETRY);
+                        self.req_stamp(m.now(), obs, job.req, req_stage::PCAP_RETRY);
                         // Exponential backoff, then relaunch the transfer.
                         m.charge(timing::PCAP_RETRY_BACKOFF_BASE << job.attempts);
                         let _ =
@@ -1568,13 +1504,13 @@ impl HwMgr {
                     // is persistently failing (e.g. a damaged bitstream
                     // store). Quarantine it and serve the client on the
                     // CPU — the reconfiguration completes, degraded.
-                    self.req_stamp(m.now(), tracer, job.req, req_stage::PCAP_ABORT);
+                    self.req_stamp(m.now(), obs, job.req, req_stage::PCAP_ABORT);
                     self.pcap_job = None;
                     self.pcap_owner = None;
                     if let Some(pd) = pds.get_mut(&caller) {
                         pd.pcap_pending = None;
                     }
-                    let _ = self.quarantine(m, pds, pt, stats, tracer, job.prr);
+                    let _ = self.quarantine(m, pds, pt, obs, job.prr);
                     return Ok(1);
                 }
             }
@@ -1596,6 +1532,10 @@ impl HwMgr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::KernelStats;
+    use mnv_metrics::Registry;
+    use mnv_profile::Profiler;
+    use mnv_trace::Tracer;
 
     fn tag(id: u32) -> ReqTag {
         ReqTag { id, started: 0 }
@@ -1609,6 +1549,19 @@ mod tests {
         }
     }
 
+    /// Run `f` against sinks recording into `tracer` (metrics and
+    /// profiling off).
+    fn with_sinks(tracer: &Tracer, f: impl FnOnce(&mut Sinks<'_>)) {
+        let mut stats = KernelStats::default();
+        let (metrics, profiler) = (Registry::disabled(), Profiler::disabled());
+        f(&mut Sinks {
+            stats: &mut stats,
+            tracer,
+            metrics: &metrics,
+            profiler: &profiler,
+        });
+    }
+
     #[test]
     fn drain_resumes_preserves_posting_order_per_vm() {
         // Regression: the old `Vec::remove(i)` scan both re-shifted the
@@ -1618,23 +1571,22 @@ mod tests {
         // entries untouched and in order.
         let mut mgr = HwMgr::new(4, false);
         let tracer = Tracer::enabled(64);
-        let mut stats = KernelStats::default();
         for p in [pend(1, 1), pend(2, 10), pend(1, 2), pend(2, 11), pend(1, 3)] {
             mgr.pending_resume.push(p);
         }
-        mgr.drain_resumes(Cycles::new(0), &tracer, &mut stats, VmId(1));
+        with_sinks(&tracer, |obs| {
+            mgr.drain_resumes(Cycles::new(0), obs, VmId(1))
+        });
 
-        if tracer.is_enabled() {
-            let resumed: Vec<u32> = tracer
-                .snapshot()
-                .into_iter()
-                .filter_map(|(_, ev)| match ev {
-                    TraceEvent::ReqStage { req, stage } if stage == req_stage::RESUME => Some(req),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(resumed, vec![1, 2, 3], "VM 1 closes in posting order");
-        }
+        let resumed: Vec<u32> = tracer
+            .snapshot()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::ReqStage { req, stage } if stage == req_stage::RESUME => Some(req),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resumed, vec![1, 2, 3], "VM 1 closes in posting order");
         let left: Vec<(VmId, u32)> = mgr
             .pending_resume
             .iter()
@@ -1650,11 +1602,12 @@ mod tests {
     #[test]
     fn forget_vm_reqs_drops_only_the_dead_vms_resumes() {
         let mut mgr = HwMgr::new(4, false);
-        let tracer = Tracer::disabled();
         for p in [pend(3, 7), pend(4, 20), pend(3, 8)] {
             mgr.pending_resume.push(p);
         }
-        mgr.forget_vm_reqs(Cycles::new(0), &tracer, VmId(3));
+        with_sinks(&Tracer::disabled(), |obs| {
+            mgr.forget_vm_reqs(Cycles::new(0), obs, VmId(3))
+        });
         let left: Vec<u32> = mgr.pending_resume.iter().map(|p| p.req.id).collect();
         assert_eq!(left, vec![20]);
     }

@@ -25,6 +25,7 @@ use crate::kernel::{sd_block, KernelState};
 use crate::mem::dacr::{self, GuestContext};
 use crate::mem::layout::ktext;
 use crate::mem::pagetable;
+use crate::stats::Count;
 
 /// Charge instruction-fetch traffic on a kernel code path.
 pub(crate) fn touch_ktext(m: &mut Machine, base: PhysAddr, lines: u64) {
@@ -48,7 +49,7 @@ pub fn hypercall(
     args: HypercallArgs,
 ) -> Result<u32, HcError> {
     // SVC trap entry: exception + hypercall entry code + PD/portal lookup.
-    ks.tracer.emit(
+    ks.emit(
         m.now(),
         TraceEvent::TrapEnter {
             kind: TrapKind::Svc,
@@ -58,7 +59,7 @@ pub fn hypercall(
     let r = hypercall_from_trap(m, ks, caller, args);
     // Exception return to the guest.
     m.charge(mnv_arm::timing::EXC_RETURN);
-    ks.tracer.emit(m.now(), TraceEvent::TrapExit);
+    ks.emit(m.now(), TraceEvent::TrapExit);
     r
 }
 
@@ -71,28 +72,19 @@ pub fn hypercall_from_trap(
     args: HypercallArgs,
 ) -> Result<u32, HcError> {
     touch_ktext(m, ktext::HC_ENTRY, 10);
-    {
+    let allowed = {
         let pd = ks.pds.get_mut(&caller).ok_or(HcError::BadArg)?;
         pd.stats.hypercalls += 1;
-        pd.portals.check(args.nr).inspect_err(|_| {
-            ks.stats.hypercalls_denied += 1;
-            ks.metrics
-                .inc("hypercalls_denied", Label::Vm(caller.0 as u8));
-        })?;
-    }
-    // The typed `Hypercall` can only carry in-range numbers (raw decode
-    // rejects unknown ones into `hypercalls_invalid` before dispatch), but
-    // never let a stats index become an out-of-bounds write regardless.
-    match ks.stats.hypercalls.get_mut(args.nr.nr() as usize) {
-        Some(slot) => *slot += 1,
-        None => ks.stats.hypercalls_invalid += 1,
-    }
-    ks.stats.hypercalls_total += 1;
-    ks.metrics.inc("hypercalls", Label::Vm(caller.0 as u8));
-    ks.tracer
-        .emit(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
-    ks.profiler
-        .record_event(m.now(), TraceEvent::Hypercall { nr: args.nr.nr() });
+        pd.portals.check(args.nr)
+    };
+    allowed.inspect_err(|_| ks.count(Count::HypercallDenied { vm: caller.0 }))?;
+    ks.emit(
+        m.now(),
+        TraceEvent::Hypercall {
+            nr: args.nr.nr(),
+            vm: caller.0,
+        },
+    );
     // Samples taken while the dispatcher runs attribute to this hypercall
     // (nested contexts restore on the way out, e.g. a DPR stage inside).
     let outer = ks.profiler.swap_ctx(SampleCtx::Hypercall(args.nr.nr()));
@@ -301,8 +293,7 @@ fn dispatch(
                 id: ks.hwmgr.next_req,
                 started: m.now().raw(),
             };
-            ks.stats.reqs_minted += 1;
-            ks.tracer.emit(
+            ks.emit(
                 m.now(),
                 TraceEvent::ReqSpan {
                     req: req.id,
@@ -311,20 +302,12 @@ fn dispatch(
                 },
             );
             let r = with_manager(m, ks, caller, req.id, |m, ks| {
-                let crate::kernel::KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = ks;
+                let (hwmgr, pds, pt, mut obs) = ks.split();
                 hwmgr.handle_request(
                     m,
                     pds,
                     pt,
-                    stats,
-                    tracer,
+                    &mut obs,
                     caller,
                     HwTaskId(args.a0 as u16),
                     VirtAddr::new(args.a1 as u64),
@@ -335,8 +318,8 @@ fn dispatch(
             if r.is_err() {
                 // A refused request never produces a completion — close the
                 // span here so the waterfall shows the failure, not a leak.
-                ks.hwmgr
-                    .fail_req(m.now(), &ks.tracer, req, caller, req_stage::FAILED);
+                let (hwmgr, _, _, mut obs) = ks.split();
+                hwmgr.fail_req(m.now(), &mut obs, req, caller, req_stage::FAILED);
             }
             r
         }
@@ -345,34 +328,20 @@ fn dispatch(
             // batch — the per-descriptor hypercalls the per-call path
             // would have paid collapse into this single protocol round.
             with_manager(m, ks, caller, 0, |m, ks| {
-                let crate::kernel::KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = ks;
-                hwmgr.handle_ring_kick(m, pds, pt, stats, tracer, caller, args.a0 as u64)
+                let (hwmgr, pds, pt, mut obs) = ks.split();
+                hwmgr.handle_ring_kick(m, pds, pt, &mut obs, caller, args.a0 as u64)
             })
         }
         HwTaskRelease => with_manager(m, ks, caller, 0, |m, ks| {
-            let (hwmgr, pds, tracer) = (&mut ks.hwmgr, &mut ks.pds, &ks.tracer);
-            hwmgr.handle_release(m, pds, tracer, caller, HwTaskId(args.a0 as u16))
+            let (hwmgr, pds, _, mut obs) = ks.split();
+            hwmgr.handle_release(m, pds, &mut obs, caller, HwTaskId(args.a0 as u16))
         }),
         HwTaskQuery => ks
             .hwmgr
             .handle_query(m, &ks.pds, caller, HwTaskId(args.a0 as u16)),
         PcapPoll => {
-            let crate::kernel::KernelState {
-                hwmgr,
-                pds,
-                pt,
-                stats,
-                tracer,
-                ..
-            } = ks;
-            hwmgr.handle_pcap_poll(m, pds, pt, stats, tracer, caller)
+            let (hwmgr, pds, pt, mut obs) = ks.split();
+            hwmgr.handle_pcap_poll(m, pds, pt, &mut obs, caller)
         }
         IpcSend => ipc::send(
             &mut ks.pds,
@@ -436,11 +405,12 @@ fn with_manager(
 ) -> Result<u32, HcError> {
     // ---- entry: save the caller, enter the manager's memory space ----
     let t0 = m.now();
-    ks.tracer.emit(
+    ks.emit(
         t0,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Entry,
             end: false,
+            vm: caller.0,
         },
     );
     if ks.defer_manager {
@@ -469,29 +439,29 @@ fn with_manager(
     m.cp15
         .write(Cp15Reg::Dacr, dacr::dacr_for(GuestContext::HostKernel));
     m.cp15.set_asid(mnv_hal::Asid(0));
-    ks.stats.vm_switches += 1;
     let t1 = m.now();
     ks.stats.hwmgr.entry.push(Cycles::new((t1 - t0).raw()));
     let vm_label = Label::Vm(caller.0 as u8);
-    ks.metrics.inc("hwmgr_invocations", vm_label);
     ks.metrics
         .add("hwmgr_entry_cycles", vm_label, (t1 - t0).raw());
     ks.metrics
         .observe("mgr_entry_latency", vm_label, (t1 - t0).raw(), exemplar);
-    ks.tracer.emit(
+    ks.emit(
         t1,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Entry,
             end: true,
+            vm: caller.0,
         },
     );
 
     // ---- execution ----
-    ks.tracer.emit(
+    ks.emit(
         t1,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Exec,
             end: false,
+            vm: caller.0,
         },
     );
     let result = body(m, ks);
@@ -501,20 +471,22 @@ fn with_manager(
         .add("hwmgr_exec_cycles", vm_label, (t2 - t1).raw());
     ks.metrics
         .observe("mgr_exec_latency", vm_label, (t2 - t1).raw(), exemplar);
-    ks.tracer.emit(
+    ks.emit(
         t2,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Exec,
             end: true,
+            vm: caller.0,
         },
     );
 
     // ---- exit: resume the interrupted guest ----
-    ks.tracer.emit(
+    ks.emit(
         t2,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Exit,
             end: false,
+            vm: caller.0,
         },
     );
     m.charge(280);
@@ -530,7 +502,6 @@ fn with_manager(
             }
         }
     }
-    ks.stats.vm_switches += 1;
     let t3 = m.now();
     ks.stats.hwmgr.exit.push(Cycles::new((t3 - t2).raw()));
     ks.stats.hwmgr.total.push(Cycles::new((t3 - t0).raw()));
@@ -540,11 +511,12 @@ fn with_manager(
         .observe("mgr_exit_latency", vm_label, (t3 - t2).raw(), exemplar);
     ks.metrics
         .observe("mgr_total_latency", vm_label, (t3 - t0).raw(), exemplar);
-    ks.tracer.emit(
+    ks.emit(
         t3,
         TraceEvent::HwMgrPhase {
             phase: MgrPhase::Exit,
             end: true,
+            vm: caller.0,
         },
     );
     result

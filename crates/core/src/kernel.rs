@@ -25,7 +25,7 @@ use crate::mem::pagetable::{self, PtAlloc};
 use crate::mirguest::MirGuest;
 use crate::sched::scheduler::{Scheduler, StopReason};
 use crate::sched::DEFAULT_QUANTUM;
-use crate::stats::KernelStats;
+use crate::stats::{Count, KernelStats, Sinks};
 use crate::supervisor::{timing, CrashDecision, Supervisor, VmImage};
 use crate::vmenv::VmEnv;
 
@@ -120,10 +120,47 @@ pub struct KernelState {
     /// accounting charges `machine.pmu_inputs() - meter_base` to whichever
     /// world ran since (the VM on switch-out, the host otherwise).
     pub meter_base: PmuInputs,
-    /// Sampling profiler + flight recorder (disabled unless
-    /// [`Kernel::enable_profiling`] is called; shared with the machine,
-    /// the Hardware Task Manager and the PL peripheral).
+    /// Sampling profiler (disabled unless [`Kernel::enable_profiling`] is
+    /// called; shared with the machine).
     pub profiler: Profiler,
+}
+
+impl KernelState {
+    /// Borrow the Hardware Task Manager, the PD table and the page-table
+    /// pool alongside the sinks view — the arguments every manager path
+    /// takes.
+    pub(crate) fn split(
+        &mut self,
+    ) -> (&mut HwMgr, &mut BTreeMap<VmId, Pd>, &mut PtAlloc, Sinks<'_>) {
+        let obs = Sinks {
+            stats: &mut self.stats,
+            tracer: &self.tracer,
+            metrics: &self.metrics,
+            profiler: &self.profiler,
+        };
+        (&mut self.hwmgr, &mut self.pds, &mut self.pt, obs)
+    }
+
+    /// Emit one kernel event (see [`Sinks::emit`]).
+    #[inline]
+    pub(crate) fn emit(&mut self, now: Cycles, ev: TraceEvent) {
+        self.split().3.emit(now, ev);
+    }
+
+    /// Count one untraced kernel occurrence (see [`Sinks::count`]).
+    #[inline]
+    pub(crate) fn count(&mut self, c: Count) {
+        self.split().3.count(c);
+    }
+
+    /// Record a VM kill: emit `VmKilled` and capture the `vm-killed`
+    /// post-mortem. Shared by [`Kernel::kill_vm`] and the MIR guests'
+    /// trap-and-emulate kills.
+    pub(crate) fn vm_killed(&mut self, m: &Machine, vm: VmId) {
+        let (_, pds, _, mut obs) = self.split();
+        obs.emit(m.now(), TraceEvent::VmKilled { vm: vm.0 });
+        crate::postmortem::dump(&obs, m, pds, Some(vm), "vm-killed");
+    }
 }
 
 /// The composed kernel.
@@ -194,22 +231,21 @@ impl Kernel {
 
     /// Turn on event tracing with a ring retaining `cap` events. The kernel
     /// and the machine (and through it the PL peripheral) share one ring,
-    /// producing a single merged timeline. Returns a handle for export.
+    /// producing a single merged timeline. Returns a handle for export
+    /// (it also sees the flight recorder, whenever that is turned on).
     pub fn enable_tracing(&mut self, cap: usize) -> Tracer {
-        let t = Tracer::enabled(cap);
-        self.state.tracer = t.clone();
-        self.machine.tracer = t.clone();
-        t
+        self.state.tracer.start_trace(cap);
+        self.machine.tracer = self.state.tracer.clone();
+        self.state.tracer.clone()
     }
 
-    /// Turn on the per-VM metrics registry: the kernel, the Hardware Task
-    /// Manager and the PL peripheral share one registry (clones share
-    /// state, like the tracer's ring). Returns a handle for snapshots and
-    /// export.
+    /// Turn on the per-VM metrics registry: the kernel (whose sinks view
+    /// the Hardware Task Manager records through) and the PL peripheral
+    /// share one registry (clones share state, like the tracer's rings).
+    /// Returns a handle for snapshots and export.
     pub fn enable_metrics(&mut self) -> Registry {
         let r = Registry::enabled();
         self.state.metrics = r.clone();
-        self.state.hwmgr.metrics = r.clone();
         self.machine
             .peripheral_mut::<Pl>()
             .expect("PL attached")
@@ -222,22 +258,22 @@ impl Kernel {
     }
 
     /// Turn on the cycle-driven sampling profiler and the flight recorder:
-    /// the kernel, the machine and the Hardware Task Manager (and through
-    /// them the PL peripheral) share one profiler, so samples carry the
-    /// (VM, hypercall/DPR-stage) annotations and diagnostic events land in
-    /// one last-N ring. `period` is the sampling period in cycles
+    /// the kernel and the machine share one profiler, so samples carry the
+    /// (VM, hypercall/DPR-stage) annotations, and their shared tracer
+    /// gains a last-N flight ring (kept on tracing or not) that every
+    /// routed event reaches — including the PL's, which emits through the
+    /// machine. `period` is the sampling period in cycles
     /// ([`mnv_profile::DEFAULT_PERIOD`] is 10 us of simulated time).
     /// Sampling is pure observation — a profiled run is bit-identical to
     /// an unprofiled one.
     pub fn enable_profiling(&mut self, period: u64) -> Profiler {
-        let p = Profiler::enabled(period, self.machine.now(), mnv_profile::DEFAULT_FLIGHT_CAP);
+        let p = Profiler::enabled(period, self.machine.now());
         self.state.profiler = p.clone();
-        self.state.hwmgr.profiler = p.clone();
         self.machine.profiler = p.clone();
-        self.machine
-            .peripheral_mut::<Pl>()
-            .expect("PL attached")
-            .set_profiler(p.clone());
+        self.state
+            .tracer
+            .start_flight(mnv_trace::DEFAULT_FLIGHT_CAP);
+        self.machine.tracer = self.state.tracer.clone();
         p
     }
 
@@ -266,33 +302,12 @@ impl Kernel {
     /// (its hardware tasks released, IRQ routes closed) while every other
     /// VM keeps running — the containment boundary of §III-B.
     pub fn kill_vm(&mut self, vm: VmId) {
-        self.state
-            .tracer
-            .emit(self.machine.now(), TraceEvent::VmKilled { vm: vm.0 });
-        self.state
-            .profiler
-            .record_event(self.machine.now(), TraceEvent::VmKilled { vm: vm.0 });
-        if self.state.profiler.has_flight_events() {
-            let ctx = crate::postmortem::context(
-                &self.machine,
-                &self.state.pds,
-                Some(vm),
-                &self.state.metrics,
-            );
-            self.state
-                .profiler
-                .trigger_dump("vm-killed", self.machine.now(), ctx);
-        }
-        self.state.stats.vms_killed += 1;
-        self.state.metrics.inc("vms_killed", Label::Machine);
+        self.state.vm_killed(&self.machine, vm);
         // Supervised VMs get a backed-off relaunch — unless they crashed
         // too often inside the window, which makes the kill permanent.
         match self.supervisor.record_crash(vm, self.machine.now().raw()) {
             CrashDecision::Unsupervised | CrashDecision::Restart { .. } => {}
-            CrashDecision::BudgetExhausted => {
-                self.state.stats.crash_loop_kills += 1;
-                self.state.metrics.inc("crash_loop_kills", Label::Machine);
-            }
+            CrashDecision::BudgetExhausted => self.state.count(Count::CrashLoopKill),
         }
         self.destroy_vm(vm);
     }
@@ -528,19 +543,14 @@ impl Kernel {
             .get(&vm)
             .map(|pd| pd.iface_maps.keys().copied().collect())
             .unwrap_or_default();
+        let (hwmgr, pds, _, mut obs) = self.state.split();
         for t in held {
-            let KernelState {
-                hwmgr, pds, tracer, ..
-            } = &mut self.state;
-            let _ = hwmgr.handle_release(&mut self.machine, pds, tracer, vm, t);
+            let _ = hwmgr.handle_release(&mut self.machine, pds, &mut obs, vm, t);
         }
         // Close any causal requests still waiting on the dead VM (buffered
         // completions, slots the releases above did not reach): their
         // completion can never be delivered.
-        {
-            let KernelState { hwmgr, tracer, .. } = &mut self.state;
-            hwmgr.forget_vm_reqs(self.machine.now(), tracer, vm);
-        }
+        hwmgr.forget_vm_reqs(self.machine.now(), &mut obs, vm);
         // An in-flight reconfiguration owned by the dead VM would otherwise
         // linger (nobody left to poll it): drop the ownership so the next
         // request can relaunch cleanly.
@@ -637,19 +647,11 @@ impl Kernel {
         // watchdog, idle fast-forward); the epoch opening here is the VM's.
         self.account_epoch(None);
         self.touch_ktext(ktext::WORLD_SWITCH, 16);
-        self.state.stats.vm_switches += 1;
-        self.state
-            .metrics
-            .inc("world_switches", Label::Vm(vm.0 as u8));
-        self.state.tracer.emit(
+        self.state.emit(
             self.machine.now(),
             TraceEvent::VmSwitch { from: 0, to: vm.0 },
         );
         self.state.profiler.set_vm(vm.0 as u8);
-        self.state.profiler.record_event(
-            self.machine.now(),
-            TraceEvent::VmSwitch { from: 0, to: vm.0 },
-        );
         {
             let pd = self.state.pds.get_mut(&vm).expect("vm exists");
             pd.stats.activations += 1;
@@ -705,15 +707,11 @@ impl Kernel {
         // manager phases it caused — is the VM's.
         self.account_epoch(Some(vm));
         self.touch_ktext(ktext::WORLD_SWITCH, 12);
-        self.state.tracer.emit(
+        self.state.emit(
             self.machine.now(),
             TraceEvent::VmSwitch { from: vm.0, to: 0 },
         );
         self.state.profiler.set_vm(0);
-        self.state.profiler.record_event(
-            self.machine.now(),
-            TraceEvent::VmSwitch { from: vm.0, to: 0 },
-        );
         let pd = self.state.pds.get_mut(&vm).expect("vm exists");
         pd.vcpu.save_active(&mut self.machine, vm);
         for line in pd.vgic.all_lines() {
@@ -738,15 +736,8 @@ impl Kernel {
             // quarantine PRRs stuck BUSY past the timeout and serve any
             // software-fallback shadow interfaces.
             {
-                let KernelState {
-                    hwmgr,
-                    pds,
-                    pt,
-                    stats,
-                    tracer,
-                    ..
-                } = &mut self.state;
-                hwmgr.watchdog(&mut self.machine, pds, pt, stats, tracer);
+                let (hwmgr, pds, pt, mut obs) = self.state.split();
+                hwmgr.watchdog(&mut self.machine, pds, pt, &mut obs);
             }
             // VM supervision: liveness kills and due relaunches.
             self.supervise();
@@ -786,7 +777,6 @@ impl Kernel {
             // which the kernel preempts, §III-D).
             self.state.sched.stats.dispatches += 1;
             self.state
-                .tracer
                 .emit(self.machine.now(), TraceEvent::SchedPick { vm: vm.0 });
             let left = self.state.pds[&vm].quantum_left;
             let full = if left.is_zero() {
@@ -856,8 +846,7 @@ impl Kernel {
     /// restart backoff has elapsed.
     fn supervise(&mut self) {
         for vm in self.supervisor.hung_vms(&self.state.pds) {
-            self.state.stats.liveness_kills += 1;
-            self.state.metrics.inc("liveness_kills", Label::Machine);
+            self.state.count(Count::LivenessKill);
             self.kill_vm(vm);
         }
         let now = self.machine.now().raw();
@@ -873,11 +862,10 @@ impl Kernel {
                     guest,
                 },
             );
-            self.state.stats.vm_restarts += 1;
-            self.state.metrics.inc("vm_restarts", Label::Vm(vm.0 as u8));
-            let ev = TraceEvent::VmRestart { vm: vm.0, attempt };
-            self.state.tracer.emit(self.machine.now(), ev);
-            self.state.profiler.record_event(self.machine.now(), ev);
+            self.state.emit(
+                self.machine.now(),
+                TraceEvent::VmRestart { vm: vm.0, attempt },
+            );
         }
     }
 
@@ -910,13 +898,8 @@ impl Kernel {
         // Buffered completion vIRQs are delivered below — close their
         // causal requests' `resume` hop at the same simulated instant.
         {
-            let KernelState {
-                hwmgr,
-                stats,
-                tracer,
-                ..
-            } = &mut self.state;
-            hwmgr.drain_resumes(self.machine.now(), tracer, stats, vm);
+            let (hwmgr, _, _, mut obs) = self.state.split();
+            hwmgr.drain_resumes(self.machine.now(), &mut obs, vm);
         }
         let start = self.machine.now();
 

@@ -20,6 +20,7 @@ use mnv_ucos::kernel::RunExit;
 use crate::hypercall;
 use crate::kernel::KernelState;
 use crate::kobj::pd::PdState;
+use crate::stats::Count;
 
 /// Value returned in r0 for a failed hypercall; r1 carries the error code.
 pub const HC_FAIL: u32 = 0xFFFF_FFFF;
@@ -130,8 +131,7 @@ impl MirGuest {
                         // Unknown call: count it in the dedicated invalid
                         // slot (never index the per-call array with an
                         // out-of-range number) and report BadCall.
-                        ks.stats.hypercalls_invalid += 1;
-                        ks.stats.hypercalls_total += 1;
+                        ks.count(Count::HypercallInvalid);
                         m.cpu.set_user_reg(0, HC_FAIL);
                         m.cpu.set_user_reg(1, hc_error_code(HcError::BadCall));
                         m.exception_return(ret);
@@ -170,7 +170,7 @@ impl MirGuest {
                             pd.vcpu.vfp_adopt(m, vm);
                         }
                         ks.vfp_owner = Some(vm);
-                        ks.stats.vfp_lazy_switches += 1;
+                        ks.count(Count::VfpLazySwitch);
                         m.exception_return(pc); // retry faulting instruction
                         true
                     }
@@ -201,11 +201,11 @@ impl MirGuest {
                         // A guest writing privileged system registers is a
                         // policy violation: kill the VM (sensitive writes
                         // must go through hypercalls).
-                        self.kill(ks, vm);
+                        self.kill(m, ks, vm);
                         false
                     }
                     _ => {
-                        self.kill(ks, vm);
+                        self.kill(m, ks, vm);
                         false
                     }
                 }
@@ -213,9 +213,7 @@ impl MirGuest {
             ExceptionKind::DataAbort | ExceptionKind::PrefetchAbort => {
                 // Forward to the guest's abort handler if registered (the
                 // §IV-E page-fault acknowledgement path); else kill.
-                ks.stats.faults_forwarded += 1;
-                ks.tracer
-                    .emit(m.now(), mnv_trace::TraceEvent::FaultForwarded { vm: vm.0 });
+                ks.emit(m.now(), mnv_trace::TraceEvent::FaultForwarded { vm: vm.0 });
                 if self.abort_handler != 0 {
                     self.faults_taken += 1;
                     if let Some(pd) = ks.pds.get_mut(&vm) {
@@ -229,7 +227,7 @@ impl MirGuest {
                     m.exception_return(self.abort_handler);
                     true
                 } else {
-                    self.kill(ks, vm);
+                    self.kill(m, ks, vm);
                     false
                 }
             }
@@ -247,15 +245,18 @@ impl MirGuest {
                 true
             }
             _ => {
-                self.kill(ks, vm);
+                self.kill(m, ks, vm);
                 false
             }
         }
     }
 
-    fn kill(&mut self, ks: &mut KernelState, vm: VmId) {
+    /// Kill the guest on a trap it may not survive: the kill reaches every
+    /// sink exactly like [`crate::Kernel::kill_vm`]'s, but the PD is left
+    /// `Halted` in place rather than destroyed.
+    fn kill(&mut self, m: &Machine, ks: &mut KernelState, vm: VmId) {
         self.halted = true;
-        ks.stats.vms_killed += 1;
+        ks.vm_killed(m, vm);
         if let Some(pd) = ks.pds.get_mut(&vm) {
             pd.state = PdState::Halted;
         }

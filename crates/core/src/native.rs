@@ -17,6 +17,9 @@ use mnv_fpga::fabric::FabricConfig;
 use mnv_fpga::pl::{Pl, PlConfig};
 use mnv_hal::abi::{HcError, Hypercall, HypercallArgs};
 use mnv_hal::{Cycles, HwTaskId, IrqNum, PhysAddr, Priority, VirtAddr, VmId};
+use mnv_metrics::Registry;
+use mnv_profile::Profiler;
+use mnv_trace::{TraceEvent, Tracer};
 use mnv_ucos::env::{GuestEnv, GuestFault};
 use mnv_ucos::kernel::{RunExit, Ucos};
 use std::collections::BTreeMap;
@@ -25,7 +28,7 @@ use crate::hwmgr::HwMgr;
 use crate::kobj::pd::Pd;
 use crate::mem::layout;
 use crate::mem::pagetable::PtAlloc;
-use crate::stats::KernelStats;
+use crate::stats::{KernelStats, Sinks};
 use crate::vtimer::VTimer;
 
 /// The bare-metal harness: machine + PL + the manager as a library
@@ -44,6 +47,9 @@ pub struct NativeHarness {
     pub pt: PtAlloc,
     /// The OS instance.
     pub os: Ucos,
+    /// Disabled instrumentation handles: the native baseline counts into
+    /// `stats` through the same fold as the kernel, but traces nothing.
+    off: (Tracer, Registry, Profiler),
     vtimer: VTimer,
     bitstream_cursor: u64,
     text_cursor: u64,
@@ -84,6 +90,7 @@ impl NativeHarness {
             pds,
             pt: PtAlloc::new(),
             os,
+            off: Default::default(),
             vtimer: VTimer::default(),
             bitstream_cursor: layout::BITSTREAM_BASE.raw(),
             text_cursor: 0,
@@ -126,6 +133,7 @@ impl NativeHarness {
                 pds,
                 pt,
                 os,
+                off: (tracer, metrics, profiler),
                 vtimer,
                 text_cursor,
                 data_rng,
@@ -134,7 +142,12 @@ impl NativeHarness {
             let mut env = NativeEnv {
                 m: machine,
                 hwmgr,
-                stats,
+                obs: Sinks {
+                    stats,
+                    tracer,
+                    metrics,
+                    profiler,
+                },
                 pds,
                 pt,
                 vtimer,
@@ -162,7 +175,7 @@ impl NativeHarness {
 struct NativeEnv<'a> {
     m: &'a mut Machine,
     hwmgr: &'a mut HwMgr,
-    stats: &'a mut KernelStats,
+    obs: Sinks<'a>,
     pds: &'a mut BTreeMap<VmId, Pd>,
     pt: &'a mut PtAlloc,
     vtimer: &'a mut VTimer,
@@ -280,13 +293,19 @@ impl GuestEnv for NativeEnv<'_> {
                     id: self.hwmgr.next_req,
                     started: t0.raw(),
                 };
-                self.stats.reqs_minted += 1;
+                self.obs.emit(
+                    t0,
+                    TraceEvent::ReqSpan {
+                        req: req.id,
+                        vm: NATIVE_VM.0,
+                        end: false,
+                    },
+                );
                 let r = self.hwmgr.handle_request(
                     self.m,
                     self.pds,
                     self.pt,
-                    self.stats,
-                    &mnv_trace::Tracer::disabled(),
+                    &mut self.obs,
                     NATIVE_VM,
                     HwTaskId(args.a0 as u16),
                     VirtAddr::new(args.a1 as u64),
@@ -294,13 +313,13 @@ impl GuestEnv for NativeEnv<'_> {
                     req,
                 );
                 let dt = self.m.now() - t0;
-                self.stats.hwmgr.exec.push(Cycles::new(dt.raw()));
+                self.obs.stats.hwmgr.exec.push(Cycles::new(dt.raw()));
                 r
             }
             Hypercall::HwTaskRelease => self.hwmgr.handle_release(
                 self.m,
                 self.pds,
-                &mnv_trace::Tracer::disabled(),
+                &mut self.obs,
                 NATIVE_VM,
                 HwTaskId(args.a0 as u16),
             ),
@@ -308,14 +327,10 @@ impl GuestEnv for NativeEnv<'_> {
                 self.hwmgr
                     .handle_query(self.m, self.pds, NATIVE_VM, HwTaskId(args.a0 as u16))
             }
-            Hypercall::PcapPoll => self.hwmgr.handle_pcap_poll(
-                self.m,
-                self.pds,
-                self.pt,
-                self.stats,
-                &mnv_trace::Tracer::disabled(),
-                NATIVE_VM,
-            ),
+            Hypercall::PcapPoll => {
+                self.hwmgr
+                    .handle_pcap_poll(self.m, self.pds, self.pt, &mut self.obs, NATIVE_VM)
+            }
             Hypercall::VmInfo => match args.a1 {
                 0 => Ok(NATIVE_VM.0 as u32),
                 1 => Ok(layout::vm_region(NATIVE_VM).raw() as u32),

@@ -13,6 +13,24 @@ use mnv_trace::json::Json;
 use std::collections::BTreeMap;
 
 use crate::kobj::pd::Pd;
+use crate::stats::Sinks;
+
+/// Capture a post-mortem blob named `reason` when the flight recorder holds
+/// anything: the flight ring, the profiler's hottest buckets and the
+/// [`context`] of the implicated `vm`. Fetch it with
+/// `Profiler::last_dump`.
+pub(crate) fn dump(
+    obs: &Sinks<'_>,
+    m: &Machine,
+    pds: &BTreeMap<VmId, Pd>,
+    vm: Option<VmId>,
+    reason: &str,
+) {
+    if obs.tracer.has_flight_events() {
+        let ctx = context(m, pds, vm, obs.metrics);
+        obs.profiler.trigger_dump(reason, m.now(), obs.tracer, ctx);
+    }
+}
 
 /// Build the `context` object of a post-mortem blob: the live machine
 /// state (clock, PC, mode, cumulative PMU inputs), the implicated VM's

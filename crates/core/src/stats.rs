@@ -14,8 +14,24 @@
 //! Each [`Acc`] carries a log-bucketed [`mnv_trace::Hist`] alongside the running
 //! mean/min/max, so every Table III row can report p50/p90/p99 as well as
 //! the paper's mean.
+//!
+//! ## One probe
+//!
+//! Every counted kernel occurrence enters through [`Sinks::emit`] (a
+//! [`TraceEvent`], which also reaches the trace ring and the flight
+//! recorder) or [`Sinks::count`] (a [`Count`]: counted, never traced).
+//! Both feed `fold`, the only code that increments a [`KernelStats`] /
+//! [`HwMgrStats`] counter or writes a kernel counter series to the metrics
+//! registry, so the counters, the registry and the event stream cannot
+//! drift apart. Latency accumulators ([`Acc`] pushes) and histograms are
+//! measurements, recorded where they are measured.
 
 use mnv_hal::abi::HYPERCALL_COUNT;
+use mnv_hal::Cycles;
+use mnv_metrics::{Label, Registry};
+use mnv_profile::Profiler;
+use mnv_trace::event::iface_name;
+use mnv_trace::{MgrPhase, TraceEvent, Tracer};
 
 /// The shared latency accumulator, re-exported from `mnv-trace` so the
 /// mean/min/max/percentile arithmetic exists in exactly one place (the
@@ -163,10 +179,173 @@ impl KernelStats {
     }
 }
 
+/// Kernel occurrences that are counted but not traced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Count {
+    /// A portal capability miss refused `vm`'s hypercall.
+    HypercallDenied { vm: u16 },
+    /// A trapped SVC carried a number that decodes to no hypercall.
+    HypercallInvalid,
+    /// A lazy VFP bank switch (Table I).
+    VfpLazySwitch,
+    /// Stage 2 found no idle region: the request was answered Busy.
+    Busy,
+    /// A region was reclaimed from its previous client (Fig. 5).
+    Reclaim,
+    /// `vm`'s `RingKick` accepted `descs` new descriptors.
+    RingKick { vm: u16, descs: u16 },
+    /// A drained ring batch was delivered to `vm` as one coalesced vIRQ.
+    RingVirq { vm: u16 },
+    /// The liveness watchdog declared a VM hung (the kill follows).
+    LivenessKill,
+    /// A killed VM exhausted its crash-loop budget.
+    CrashLoopKill,
+    /// A completed request missed interface family `iface`'s objective.
+    SloViolation { iface: u8 },
+}
+
+/// What [`fold`] consumes: an emitted event or an untraced count.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Probe {
+    /// An event emitted through [`Sinks::emit`].
+    Event(TraceEvent),
+    /// An occurrence counted through [`Sinks::count`].
+    Count(Count),
+}
+
+/// Fold one probe into the kernel counters and their registry series:
+/// each counted occurrence bumps one counter and, when it is exported,
+/// one series. Events and counts that carry no counter fall through.
+pub(crate) fn fold(stats: &mut KernelStats, metrics: &Registry, probe: Probe) {
+    use TraceEvent as E;
+    const M: Label = Label::Machine;
+    let vm = |v: u16| Label::Vm(v as u8);
+    let s = stats;
+    let (counter, series): (&mut u64, Option<(&'static str, Label)>) = match probe {
+        Probe::Event(ev) => match ev {
+            // An out-of-range number never indexes the per-call array.
+            E::Hypercall { nr, vm: v } => {
+                s.hypercalls_total += 1;
+                let slot = match s.hypercalls.get_mut(nr as usize) {
+                    Some(slot) => slot,
+                    None => &mut s.hypercalls_invalid,
+                };
+                (slot, Some(("hypercalls", vm(v))))
+            }
+            // A switch into a VM; the switch back out is not counted again.
+            E::VmSwitch { from: 0, to } => (&mut s.vm_switches, Some(("world_switches", vm(to)))),
+            // The manager invocation protocol's two world switches.
+            E::HwMgrPhase {
+                phase: MgrPhase::Entry,
+                end: true,
+                vm: v,
+            } => (&mut s.vm_switches, Some(("hwmgr_invocations", vm(v)))),
+            E::HwMgrPhase {
+                phase: MgrPhase::Exit,
+                end: true,
+                ..
+            } => (&mut s.vm_switches, None),
+            E::VirqInject { vm: v, .. } => (&mut s.virqs_injected, Some(("virqs_injected", vm(v)))),
+            E::FaultForwarded { .. } => (&mut s.faults_forwarded, None),
+            E::VmKilled { .. } => (&mut s.vms_killed, Some(("vms_killed", M))),
+            E::VmRestart { vm: v, .. } => (&mut s.vm_restarts, Some(("vm_restarts", vm(v)))),
+            E::ReqSpan { end: false, .. } => (&mut s.reqs_minted, None),
+            E::SloBurn { iface, .. } => (&mut s.slo_burns, Some(("slo_burns", iface_label(iface)))),
+            // Stage 1 opens every allocation routine; stage 5 is entered
+            // only when the region needs a PCAP download.
+            E::DprStage { stage: 1 } => (&mut s.hwmgr.invocations, None),
+            E::DprStage { stage: 5 } => (&mut s.hwmgr.reconfigs, Some(("hwmgr_reconfigs", M))),
+            E::PcapRetry { .. } => (&mut s.hwmgr.pcap_retries, Some(("pcap_retries", M))),
+            E::PrrQuarantine { .. } => (&mut s.hwmgr.quarantines, Some(("quarantines", M))),
+            E::SwFallback { .. } => (&mut s.hwmgr.sw_fallbacks, Some(("sw_fallbacks", M))),
+            E::PrrScrub { pass: true, .. } => (&mut s.hwmgr.scrubs, Some(("prr_scrubs", M))),
+            E::PrrScrub { pass: false, .. } => {
+                (&mut s.hwmgr.scrub_fails, Some(("prr_scrub_fails", M)))
+            }
+            E::PrrReinstate { .. } => (&mut s.hwmgr.reinstates, Some(("prr_reinstates", M))),
+            E::PrrRetire { .. } => (&mut s.hwmgr.prrs_retired, Some(("prrs_retired", M))),
+            E::Repromote { vm: v, .. } => {
+                metrics.inc("vm_repromotions", vm(v));
+                (&mut s.hwmgr.repromotions, Some(("repromotions", M)))
+            }
+            E::HwTaskEscalate { rung, .. } => match rung {
+                1 => (&mut s.hwmgr.ladder_retries, Some(("ladder_retries", M))),
+                2 => (
+                    &mut s.hwmgr.ladder_relocations,
+                    Some(("ladder_relocations", M)),
+                ),
+                3 => (&mut s.hwmgr.ladder_fallbacks, Some(("ladder_fallbacks", M))),
+                _ => (&mut s.hwmgr.ladder_errors, Some(("ladder_errors", M))),
+            },
+            _ => return,
+        },
+        Probe::Count(c) => match c {
+            Count::HypercallDenied { vm: v } => {
+                (&mut s.hypercalls_denied, Some(("hypercalls_denied", vm(v))))
+            }
+            Count::HypercallInvalid => {
+                s.hypercalls_total += 1;
+                (&mut s.hypercalls_invalid, None)
+            }
+            Count::VfpLazySwitch => (&mut s.vfp_lazy_switches, None),
+            Count::Busy => (&mut s.hwmgr.busy, Some(("hwmgr_busy", M))),
+            Count::Reclaim => (&mut s.hwmgr.reclaims, Some(("hwmgr_reclaims", M))),
+            Count::RingKick { vm: v, descs } => {
+                s.hwmgr.ring_descs += descs as u64;
+                (&mut s.hwmgr.ring_kicks, Some(("ring_kicks", vm(v))))
+            }
+            Count::RingVirq { vm: v } => (&mut s.hwmgr.ring_virqs, Some(("ring_virqs", vm(v)))),
+            Count::LivenessKill => (&mut s.liveness_kills, Some(("liveness_kills", M))),
+            Count::CrashLoopKill => (&mut s.crash_loop_kills, Some(("crash_loop_kills", M))),
+            Count::SloViolation { iface } => (
+                &mut s.slo_violations,
+                Some(("slo_violations", iface_label(iface))),
+            ),
+        },
+    };
+    *counter += 1;
+    if let Some((name, label)) = series {
+        metrics.inc(name, label);
+    }
+}
+
+fn iface_label(iface: u8) -> Label {
+    Label::Iface(iface_name(iface))
+}
+
+/// The kernel's instrumentation sinks, borrowed together: the one view
+/// hypercall handlers, the Hardware Task Manager and the supervisor record
+/// through (built beside the manager tables by `KernelState::split`).
+pub struct Sinks<'a> {
+    /// Kernel counters and Table III accumulators.
+    pub stats: &'a mut KernelStats,
+    /// Trace ring + flight recorder.
+    pub tracer: &'a Tracer,
+    /// Metrics registry (histograms and latency sums are observed directly).
+    pub metrics: &'a Registry,
+    /// Sampling profiler (context annotations, post-mortem dumps).
+    pub profiler: &'a Profiler,
+}
+
+impl Sinks<'_> {
+    /// The one probe: record `ev` into the rings it routes to and fold it
+    /// into the counters.
+    #[inline]
+    pub fn emit(&mut self, now: Cycles, ev: TraceEvent) {
+        self.tracer.emit(now, ev);
+        fold(self.stats, self.metrics, Probe::Event(ev));
+    }
+
+    /// Count an untraced occurrence.
+    #[inline]
+    pub fn count(&mut self, c: Count) {
+        fold(self.stats, self.metrics, Probe::Count(c));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnv_hal::Cycles;
 
     #[test]
     fn total_is_sum_of_phases() {

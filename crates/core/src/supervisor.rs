@@ -25,7 +25,8 @@
 //! * **Hardware-task escalation ladder**: a hung region no longer jumps
 //!   straight to quarantine. The rungs are retry-same-PRR →
 //!   relocate-to-compatible-PRR → software fallback → error, each with its
-//!   own timeout, every transition counted, traced and flight-recorded.
+//!   own timeout, every transition one emitted event (counted, traced and
+//!   flight-recorded from that single probe).
 
 use mnv_arm::machine::Machine;
 use mnv_arm::tlb::Ap;
@@ -36,9 +37,8 @@ use mnv_fpga::prr::regs as prr_regs;
 use mnv_fpga::prr::status as prr_status;
 use mnv_fpga::prr::REG_COUNT;
 use mnv_hal::{Domain, HwTaskId, Priority, VmId};
-use mnv_metrics::Label;
 use mnv_trace::event::req_stage;
-use mnv_trace::{TraceEvent, Tracer};
+use mnv_trace::TraceEvent;
 use std::collections::BTreeMap;
 
 use crate::hwmgr::service::{ctrl_reg, SwShadow, SHADOW_LINE_KEY};
@@ -46,7 +46,7 @@ use crate::hwmgr::HwMgr;
 use crate::kernel::GuestKind;
 use crate::kobj::pd::Pd;
 use crate::mem::pagetable::{self, PtAlloc};
-use crate::stats::KernelStats;
+use crate::stats::Sinks;
 
 /// Named cycle constants for every supervision timer (660 cycles = 1 µs at
 /// the platform's 660 MHz). The kernel's idle loop and the Hardware Task
@@ -390,10 +390,9 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
     ) {
-        self.poll_fabric_job(m, pds, pt, stats, tracer);
+        self.poll_fabric_job(m, pds, pt, obs);
         if self.pcap_job.is_none() && self.fabric_job.is_none() {
             self.launch_next_fabric_job(m, pds);
         }
@@ -423,8 +422,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
     ) {
         let Some(job) = self.fabric_job else { return };
         let status = m
@@ -434,7 +432,7 @@ impl HwMgr {
             pcap_status::DONE => {
                 self.fabric_job = None;
                 match job.kind {
-                    FabricJobKind::Scrub => self.scrub_passed(m, pds, stats, tracer, job),
+                    FabricJobKind::Scrub => self.scrub_passed(m, pds, obs, job),
                     FabricJobKind::Repromote { vm } => {
                         // The region now holds the client's core; keep the
                         // table honest even if the client vanished mid-load.
@@ -445,18 +443,18 @@ impl HwMgr {
                     }
                     FabricJobKind::Relocate { vm, from } => {
                         self.prrs.entry_mut(m, job.prr).task = Some(job.task);
-                        self.finish_relocation(m, pds, pt, stats, tracer, job, vm, from);
+                        self.finish_relocation(m, pds, pt, obs, job, vm, from);
                     }
                 }
             }
             pcap_status::ERROR => {
                 self.fabric_job = None;
-                self.fabric_job_failed(m, pds, pt, stats, tracer, job);
+                self.fabric_job_failed(m, pds, pt, obs, job);
             }
             _ if m.now().raw() > job.stall_deadline() => {
                 let _ = m.phys_write_u32(ctrl_reg(plregs::PCAP_CTRL), 0b10);
                 self.fabric_job = None;
-                self.fabric_job_failed(m, pds, pt, stats, tracer, job);
+                self.fabric_job_failed(m, pds, pt, obs, job);
             }
             _ => {}
         }
@@ -467,12 +465,11 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         job: FabricJob,
     ) {
         match job.kind {
-            FabricJobKind::Scrub => self.scrub_failed(m, stats, tracer, job),
+            FabricJobKind::Scrub => self.scrub_failed(m, obs, job),
             FabricJobKind::Repromote { .. } => {
                 // The target region stays healthy and free; the promotion
                 // scan will simply try again later.
@@ -482,7 +479,7 @@ impl HwMgr {
                 // Relocation load failed: fall straight through to the
                 // software rung for the hung region.
                 self.ladders.remove(&from);
-                self.ladder_fallback(m, pds, pt, stats, tracer, from);
+                self.ladder_fallback(m, pds, pt, obs, from);
             }
         }
     }
@@ -585,8 +582,7 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         job: FabricJob,
     ) {
         let now = m.now().raw();
@@ -595,14 +591,13 @@ impl HwMgr {
         h.fails = 0;
         h.next_scrub_at = now + self.scrub_interval;
         let passes = h.passes;
-        stats.hwmgr.scrubs += 1;
-        self.metrics.inc("prr_scrubs", Label::Machine);
-        let ev = TraceEvent::PrrScrub {
-            prr: job.prr,
-            pass: true,
-        };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(
+            m.now(),
+            TraceEvent::PrrScrub {
+                prr: job.prr,
+                pass: true,
+            },
+        );
         if passes < SCRUB_PASSES_TO_REINSTATE {
             return;
         }
@@ -622,11 +617,7 @@ impl HwMgr {
             e.iface_va = None;
             e.task = Some(job.task);
         }
-        stats.hwmgr.reinstates += 1;
-        self.metrics.inc("prr_reinstates", Label::Machine);
-        let ev = TraceEvent::PrrReinstate { prr: job.prr };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(m.now(), TraceEvent::PrrReinstate { prr: job.prr });
 
         // If the scrub bitstream was chosen for a degraded client, promote
         // that client now — the core is already resident.
@@ -640,36 +631,25 @@ impl HwMgr {
         }
     }
 
-    fn scrub_failed(
-        &mut self,
-        m: &mut Machine,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
-        job: FabricJob,
-    ) {
+    fn scrub_failed(&mut self, m: &mut Machine, obs: &mut Sinks<'_>, job: FabricJob) {
         let now = m.now().raw();
         let h = &mut self.health[job.prr as usize];
         h.fails += 1;
         h.passes = 0;
         h.next_scrub_at = now + self.scrub_interval;
         let fails = h.fails;
-        stats.hwmgr.scrub_fails += 1;
-        self.metrics.inc("prr_scrub_fails", Label::Machine);
-        let ev = TraceEvent::PrrScrub {
-            prr: job.prr,
-            pass: false,
-        };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(
+            m.now(),
+            TraceEvent::PrrScrub {
+                prr: job.prr,
+                pass: false,
+            },
+        );
         if fails < SCRUB_FAILS_TO_RETIRE {
             return;
         }
         self.prrs.entry_mut(m, job.prr).retired = true;
-        stats.hwmgr.prrs_retired += 1;
-        self.metrics.inc("prrs_retired", Label::Machine);
-        let ev = TraceEvent::PrrRetire { prr: job.prr };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(m.now(), TraceEvent::PrrRetire { prr: job.prr });
     }
 
     /// Prepare a shadow client's return to hardware: reserve the region,
@@ -732,8 +712,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         s: &SwShadow,
         prr: u8,
         ctrl: u32,
@@ -770,18 +749,16 @@ impl HwMgr {
         // The shadow's open causal request follows the client back onto
         // fabric: the completion vIRQ from the new region closes it.
         let old = std::mem::replace(self.prrs.req_slot(prr), s.req);
-        self.fail_req(m.now(), tracer, old, s.vm, req_stage::RELEASED);
+        self.fail_req(m.now(), obs, old, s.vm, req_stage::RELEASED);
         self.free_shadow_page(s.page);
-        stats.hwmgr.repromotions += 1;
-        self.metrics.inc("repromotions", Label::Machine);
-        self.metrics.inc("vm_repromotions", Label::Vm(s.vm.0 as u8));
-        let ev = TraceEvent::Repromote {
-            vm: s.vm.0,
-            task: s.task.0 as u32,
-            prr,
-        };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(
+            m.now(),
+            TraceEvent::Repromote {
+                vm: s.vm.0,
+                task: s.task.0 as u32,
+                prr,
+            },
+        );
         // Kick the hardware run with the guest's own control bits. This
         // write goes through the PL fault site like any guest start — a
         // re-hang lands back in the watchdog/ladder path.
@@ -791,14 +768,7 @@ impl HwMgr {
     /// Escalation-ladder entry: a region exceeded the hang watchdog with a
     /// client attached and no ladder open. Rung 1 — reset the region and
     /// retry the client's run in place.
-    pub(crate) fn ladder_retry(
-        &mut self,
-        m: &mut Machine,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
-        prr: u8,
-        now: u64,
-    ) {
+    pub(crate) fn ladder_retry(&mut self, m: &mut Machine, obs: &mut Sinks<'_>, prr: u8, now: u64) {
         let dev = Pl::prr_page(prr);
         let mut saved = [0u32; REG_COUNT];
         for (i, r) in saved.iter_mut().enumerate() {
@@ -821,13 +791,9 @@ impl HwMgr {
                 saved,
             },
         );
-        stats.hwmgr.ladder_retries += 1;
-        self.metrics.inc("ladder_retries", Label::Machine);
-        let ev = TraceEvent::HwTaskEscalate { prr, rung: 1 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(m.now(), TraceEvent::HwTaskEscalate { prr, rung: 1 });
         let req = self.prrs.entry(prr).req;
-        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RETRY);
+        self.req_stamp(m.now(), obs, req, req_stage::LADDER_RETRY);
     }
 
     /// Advance the ladder for a region whose current rung timed out.
@@ -837,8 +803,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         prr: u8,
         now: u64,
     ) {
@@ -883,13 +848,9 @@ impl HwMgr {
                             l.rung = 2;
                             l.deadline = now + self.ladder_relocate_timeout;
                         }
-                        stats.hwmgr.ladder_relocations += 1;
-                        self.metrics.inc("ladder_relocations", Label::Machine);
-                        let ev = TraceEvent::HwTaskEscalate { prr, rung: 2 };
-                        tracer.emit(m.now(), ev);
-                        self.profiler.record_event(m.now(), ev);
+                        obs.emit(m.now(), TraceEvent::HwTaskEscalate { prr, rung: 2 });
                         let req = self.prrs.entry(prr).req;
-                        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_RELOCATE);
+                        self.req_stamp(m.now(), obs, req, req_stage::LADDER_RELOCATE);
                         return;
                     }
                 }
@@ -902,7 +863,7 @@ impl HwMgr {
             }
         }
         self.ladders.remove(&prr);
-        self.ladder_fallback(m, pds, pt, stats, tracer, prr);
+        self.ladder_fallback(m, pds, pt, obs, prr);
     }
 
     /// Rungs 3 and 4: quarantine the region and migrate the client to a
@@ -913,36 +874,27 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         prr: u8,
     ) {
-        stats.hwmgr.ladder_fallbacks += 1;
-        self.metrics.inc("ladder_fallbacks", Label::Machine);
-        let ev = TraceEvent::HwTaskEscalate { prr, rung: 3 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(m.now(), TraceEvent::HwTaskEscalate { prr, rung: 3 });
         let req = self.prrs.entry(prr).req;
-        self.req_stamp(m.now(), tracer, req, req_stage::LADDER_FALLBACK);
-        if self.quarantine(m, pds, pt, stats, tracer, prr) {
+        self.req_stamp(m.now(), obs, req, req_stage::LADDER_FALLBACK);
+        if self.quarantine(m, pds, pt, obs, prr) {
             return;
         }
         // Rung 4: a client exists but could not be migrated (shadow pool
         // exhausted, task unregistered, …) and is still mapped to the
         // wedged device page. Reset the region and latch an explicit error
         // so the guest's poll loop terminates with a diagnosable code.
-        stats.hwmgr.ladder_errors += 1;
-        self.metrics.inc("ladder_errors", Label::Machine);
-        let ev = TraceEvent::HwTaskEscalate { prr, rung: 4 };
-        tracer.emit(m.now(), ev);
-        self.profiler.record_event(m.now(), ev);
+        obs.emit(m.now(), TraceEvent::HwTaskEscalate { prr, rung: 4 });
         {
             // Rung 4 is terminal for the causal request: the guest gets an
             // explicit device error, never a completion vIRQ.
             let vm = self.prrs.entry(prr).client.unwrap_or(VmId(0));
             let req = self.prrs.req_slot(prr).take();
-            self.req_stamp(m.now(), tracer, req, req_stage::LADDER_ERROR);
-            self.fail_req(m.now(), tracer, req, vm, req_stage::FAILED);
+            self.req_stamp(m.now(), obs, req, req_stage::LADDER_ERROR);
+            self.fail_req(m.now(), obs, req, vm, req_stage::FAILED);
         }
         let dev = Pl::prr_page(prr);
         let _ = m.phys_write_u32(dev + 4 * prr_regs::CTRL as u64, prr_ctrl::RESET);
@@ -960,11 +912,10 @@ impl HwMgr {
         &mut self,
         m: &mut Machine,
         pds: &BTreeMap<VmId, Pd>,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         prr: u8,
     ) {
-        self.note_quarantine(m, pds, stats, tracer, prr);
+        self.note_quarantine(m, pds, obs, prr);
         {
             let e = self.prrs.entry_mut(m, prr);
             e.quarantined = true;
@@ -985,8 +936,7 @@ impl HwMgr {
         m: &mut Machine,
         pds: &mut BTreeMap<VmId, Pd>,
         pt: &mut PtAlloc,
-        stats: &mut KernelStats,
-        tracer: &Tracer,
+        obs: &mut Sinks<'_>,
         job: FabricJob,
         vm: VmId,
         from: u8,
@@ -1006,7 +956,7 @@ impl HwMgr {
         if !still_client || ds.is_none() || iface.is_none() {
             // Client released or died while the load was in flight: leave
             // the target free, quarantine the hung source the plain way.
-            self.ladder_fallback(m, pds, pt, stats, tracer, from);
+            self.ladder_fallback(m, pds, pt, obs, from);
             return;
         }
         let (ds, (iface_va, _)) = (ds.unwrap(), iface.unwrap());
@@ -1019,7 +969,7 @@ impl HwMgr {
 
         // The hung source goes to quarantine (and the scrubber's care) —
         // without a client migration, since the client moves to hardware.
-        self.quarantine_bare(m, pds, stats, tracer, from);
+        self.quarantine_bare(m, pds, obs, from);
 
         // Move the dispatch.
         {

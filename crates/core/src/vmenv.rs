@@ -58,7 +58,7 @@ impl<'a> VmEnv<'a> {
         self.m.sync_devices();
         let pending = self.m.gic.highest_pending()?;
         let t0 = self.m.now();
-        self.ks.tracer.emit(
+        self.ks.emit(
             t0,
             TraceEvent::TrapEnter {
                 kind: TrapKind::Irq,
@@ -69,7 +69,7 @@ impl<'a> VmEnv<'a> {
         touch_ktext(self.m, ktext::IRQ_ENTRY, 8);
         self.m.charge(mnv_arm::timing::MMIO); // ICCIAR read
         let Some(irq) = self.m.gic.ack() else {
-            self.ks.tracer.emit(self.m.now(), TraceEvent::TrapExit);
+            self.ks.emit(self.m.now(), TraceEvent::TrapExit);
             return None;
         };
         debug_assert_eq!(irq, pending);
@@ -102,24 +102,13 @@ impl<'a> VmEnv<'a> {
                 Some(pd) => {
                     pd.vgic.note_injected(irq);
                     pd.stats.virqs_injected += 1;
-                    self.ks.stats.virqs_injected += 1;
-                    self.ks
-                        .metrics
-                        .inc("virqs_injected", mnv_metrics::Label::Vm(self.vm.0 as u8));
                     // Charge the forced jump to the VM's IRQ entry.
                     self.m.charge(mnv_arm::timing::EXC_RETURN);
                     if is_pl {
                         let dt = self.m.now() - t0;
                         self.ks.stats.hwmgr.irq_entry.push(Cycles::new(dt.raw()));
                     }
-                    self.ks.tracer.emit(
-                        self.m.now(),
-                        TraceEvent::VirqInject {
-                            vm: self.vm.0,
-                            irq: irq.0,
-                        },
-                    );
-                    self.ks.profiler.record_event(
+                    self.ks.emit(
                         self.m.now(),
                         TraceEvent::VirqInject {
                             vm: self.vm.0,
@@ -153,19 +142,13 @@ impl<'a> VmEnv<'a> {
             if let Some((owner_vm, key)) = self.ks.hwmgr.irqs.owner(irq) {
                 if key & SHADOW_LINE_KEY == 0 && (key as usize) < self.ks.hwmgr.prrs.len() {
                     let now = self.m.now();
-                    let KernelState {
-                        hwmgr,
-                        stats,
-                        tracer,
-                        ..
-                    } = &mut *self.ks;
+                    let (hwmgr, _, _, mut obs) = self.ks.split();
                     if result.is_some() {
                         let req = hwmgr.prrs.req_slot(key).take();
                         let iface = hwmgr.prr_iface(key);
                         hwmgr.finish_req(
                             now,
-                            tracer,
-                            stats,
+                            &mut obs,
                             req,
                             owner_vm,
                             iface,
@@ -174,7 +157,7 @@ impl<'a> VmEnv<'a> {
                     } else if let Some(vm) = buffered_for {
                         let req = hwmgr.prrs.req_slot(key).take();
                         if req.is_open() {
-                            hwmgr.req_stamp(now, tracer, req, req_stage::VIRQ_BUFFER);
+                            hwmgr.req_stamp(now, &mut obs, req, req_stage::VIRQ_BUFFER);
                             let iface = hwmgr.prr_iface(key);
                             hwmgr.pending_resume.push(PendingResume { vm, req, iface });
                         }
@@ -182,7 +165,7 @@ impl<'a> VmEnv<'a> {
                 }
             }
         }
-        self.ks.tracer.emit(self.m.now(), TraceEvent::TrapExit);
+        self.ks.emit(self.m.now(), TraceEvent::TrapExit);
         result
     }
 }
@@ -340,20 +323,9 @@ impl GuestEnv for VmEnv<'_> {
             if pd.vtimer.poll(now).is_some() {
                 pd.vgic.note_injected(IrqNum(mnv_ucos::layout::TIMER_VIRQ));
                 pd.stats.virqs_injected += 1;
-                self.ks.stats.virqs_injected += 1;
-                self.ks
-                    .metrics
-                    .inc("virqs_injected", mnv_metrics::Label::Vm(self.vm.0 as u8));
                 self.m
                     .charge(mnv_arm::timing::EXC_ENTRY + mnv_arm::timing::EXC_RETURN);
-                self.ks.tracer.emit(
-                    self.m.now(),
-                    TraceEvent::VirqInject {
-                        vm: self.vm.0,
-                        irq: mnv_ucos::layout::TIMER_VIRQ,
-                    },
-                );
-                self.ks.profiler.record_event(
+                self.ks.emit(
                     self.m.now(),
                     TraceEvent::VirqInject {
                         vm: self.vm.0,
@@ -376,15 +348,8 @@ impl GuestEnv for VmEnv<'_> {
             .any(|r| r.vm == self.vm && r.has_work())
         {
             self.m.sync_devices();
-            let KernelState {
-                hwmgr,
-                pds,
-                pt,
-                stats,
-                tracer,
-                ..
-            } = &mut *self.ks;
-            hwmgr.ring_tick(self.m, pds, pt, stats, tracer, Some(self.vm));
+            let (hwmgr, pds, pt, mut obs) = self.ks.split();
+            hwmgr.ring_tick(self.m, pds, pt, &mut obs, Some(self.vm));
         }
         self.gic_path()
     }

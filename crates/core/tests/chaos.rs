@@ -243,39 +243,147 @@ fn fault_trace_events_reach_the_tracer() {
 }
 
 #[test]
-fn fault_plane_counters_mirror_the_metrics_registry() {
-    // The degradation counters are exported on the metrics plane too: under
-    // a seeded chaos run the registry's machine-wide series must agree
-    // exactly with the kernel's own fault-plane accounting.
-    use mnv_metrics::Label;
+fn kernel_counters_mirror_the_metrics_registry() {
+    // Every kernel counter series the stats fold writes, summed over its
+    // labels, must equal the `KernelStats` field it mirrors. The workload
+    // drives as many as a short run can: a ring client, a guest the
+    // liveness watchdog kills and the supervisor restarts, a MIR guest
+    // killed by a trapped DACR write (after an invalid SVC), an SLO tight
+    // enough to burn and the chaos fault plan; a per-call hardware-task
+    // client joins once the ring has drained batches (a client
+    // reconfiguration launched while a ring descriptor waits on the PCAP
+    // channel takes the channel over, and that descriptor never resumes).
+    use mini_nova::mirguest::MirGuest;
+    use mnv_arm::mir::{Instr, MirCp15, ProgramBuilder};
+    use mnv_ucos::tasks::{BatchMode, HwBatchTask};
 
     let (mut k, ids) = kernel();
-    let qam: Vec<HwTaskId> = ids[6..].to_vec();
+    let mut ring = Ucos::new(UcosConfig::default());
+    ring.task_create(
+        8,
+        Box::new(HwBatchTask::new(
+            ids[..3].to_vec(),
+            0,
+            BatchMode::Ring,
+            6,
+            5,
+        )),
+    );
+    k.create_vm(VmSpec {
+        name: "ring",
+        priority: Priority::GUEST,
+        guest: GuestKind::Ucos(Box::new(ring)),
+    });
+    let mut boots = 0u32;
+    let flaky = k.create_supervised_vm(
+        "flaky",
+        Priority::GUEST,
+        Box::new(move || {
+            boots += 1;
+            if boots == 1 {
+                common::spinner_guest()
+            } else {
+                common::healthy_guest(7)
+            }
+        }),
+    );
+    k.watch_liveness(flaky, 300_000);
+    let mut b = ProgramBuilder::new();
+    b.svc(0xEE); // decodes to no hypercall
+    b.mov(0, 0xFFFF_FFFF);
+    b.push(Instr::Mcr {
+        reg: MirCp15::Dacr,
+        rs: 0,
+    });
+    b.halt();
+    k.create_vm(VmSpec {
+        name: "rogue",
+        priority: Priority::GUEST,
+        guest: GuestKind::Mir(Box::new(MirGuest::new(
+            b.assemble(mnv_ucos::layout::CODE_BASE.raw()),
+        ))),
+    });
+    let reg = k.enable_metrics();
+    let mut plan = FaultPlan::chaos(0xFA17);
+    plan.prr_hang = SiteCfg::new(1_000_000, 3); // the first three starts wedge
+    k.enable_faults(plan);
+    k.state.hwmgr.watchdog_timeout = 1_000_000;
+    k.state.hwmgr.slo.set_objective(1, 1_000);
+    k.state
+        .hwmgr
+        .slo
+        .set_burn_policy(mnv_hal::cycles::CPU_HZ / 100, 2);
+    k.run(Cycles::from_millis(60.0));
     k.create_vm(VmSpec {
         name: "g1",
         priority: Priority::GUEST,
-        guest: workload_guest(3, qam),
+        guest: workload_guest(3, ids[6..].to_vec()),
     });
-    let reg = k.enable_metrics();
-    k.enable_faults(FaultPlan::chaos(0xFA17));
-    k.state.hwmgr.watchdog_timeout = 1_000_000;
-    k.run(Cycles::from_millis(120.0));
+    k.run(Cycles::from_millis(60.0));
 
-    let h = &k.state.stats.hwmgr;
-    let snap = reg.snapshot();
+    let s = &k.state.stats;
+    let h = &s.hwmgr;
+    // The manager invocation protocol is two world switches, timed once
+    // per invocation by the entry accumulator.
+    let invocations = h.entry.samples;
     let series = [
+        ("hypercalls", s.hypercalls_total - s.hypercalls_invalid),
+        ("hypercalls_denied", s.hypercalls_denied),
+        ("world_switches", s.vm_switches - 2 * invocations),
+        ("hwmgr_invocations", invocations),
+        ("virqs_injected", s.virqs_injected),
+        ("vms_killed", s.vms_killed),
+        ("vm_restarts", s.vm_restarts),
+        ("liveness_kills", s.liveness_kills),
+        ("crash_loop_kills", s.crash_loop_kills),
+        ("slo_violations", s.slo_violations),
+        ("slo_burns", s.slo_burns),
+        ("hwmgr_busy", h.busy),
+        ("hwmgr_reclaims", h.reclaims),
+        ("hwmgr_reconfigs", h.reconfigs),
         ("pcap_retries", h.pcap_retries),
         ("quarantines", h.quarantines),
         ("sw_fallbacks", h.sw_fallbacks),
-        ("hwmgr_reclaims", h.reclaims),
-        ("hwmgr_reconfigs", h.reconfigs),
+        ("prr_scrubs", h.scrubs),
+        ("prr_scrub_fails", h.scrub_fails),
+        ("prr_reinstates", h.reinstates),
+        ("prrs_retired", h.prrs_retired),
+        ("repromotions", h.repromotions),
+        ("vm_repromotions", h.repromotions),
+        ("ladder_retries", h.ladder_retries),
+        ("ladder_relocations", h.ladder_relocations),
+        ("ladder_fallbacks", h.ladder_fallbacks),
+        ("ladder_errors", h.ladder_errors),
+        ("ring_kicks", h.ring_kicks),
+        ("ring_virqs", h.ring_virqs),
     ];
+    let snap = reg.snapshot();
     for (name, stat) in series {
-        let metered = snap.get(name, Label::Machine);
-        assert_eq!(metered, stat, "registry series {name} diverged");
+        assert_eq!(snap.total(name), stat, "registry series {name} diverged");
     }
-    assert!(
-        snap.get("pcap_retries", Label::Machine) > 0,
-        "chaos preset must exercise the retry path"
-    );
+    // The workload must actually reach the paths it claims to cover.
+    for name in [
+        "hypercalls",
+        "world_switches",
+        "hwmgr_invocations",
+        "virqs_injected",
+        "vms_killed",
+        "vm_restarts",
+        "liveness_kills",
+        "slo_violations",
+        "hwmgr_reconfigs",
+        "pcap_retries",
+        "quarantines",
+        "sw_fallbacks",
+        "prr_scrubs",
+        "prr_reinstates",
+        "ladder_retries",
+        "ladder_fallbacks",
+        "ring_kicks",
+        "ring_virqs",
+    ] {
+        assert!(snap.total(name) > 0, "workload never exercised {name}");
+    }
+    assert_eq!(s.vms_killed, 2, "the liveness kill and the MIR kill");
+    assert_eq!(s.hypercalls_invalid, 1, "the rogue's invalid SVC");
 }

@@ -153,15 +153,13 @@ fn tail_exemplars_resolve_to_traced_requests() {
 #[test]
 fn slo_burn_fires_on_sustained_violations() {
     let mut k = hw_scenario();
-    let tracer = k.enable_tracing(1 << 20);
-    // Wire the manager a flight recorder with a roomy ring: the default
+    // Trace, plus a flight recorder with a roomy ring: the default
     // 512-event ring is a last-moments buffer, and the tail of the run
     // (hypercall records) would evict a mid-run burn before the test
     // could look. Recording is non-architectural, so this changes
     // nothing else.
-    let profiler =
-        mnv_profile::Profiler::enabled(mnv_profile::DEFAULT_PERIOD, k.machine.now(), 1 << 16);
-    k.state.hwmgr.profiler = profiler.clone();
+    let tracer = k.enable_tracing(1 << 20);
+    k.state.tracer.start_flight(1 << 16);
     // 1000 cycles ≈ 1.5 us: no reconfiguration-plus-execution round trip
     // fits, so every interface burns its window.
     for iface in 0..3 {
@@ -196,10 +194,96 @@ fn slo_burn_fires_on_sustained_violations() {
         assert_ne!(iface_name(*iface), "iface:?");
         assert!(*violations >= 2, "burn latched below the limit");
     }
-    let in_flight = profiler
+    let in_flight = tracer
         .flight_snapshot()
         .into_iter()
         .filter(|(_, ev)| matches!(ev, TraceEvent::SloBurn { .. }))
         .count();
     assert!(in_flight > 0, "burn must reach the flight recorder");
+}
+
+/// The flight recorder is fed by the same `emit` as the trace ring: with
+/// tracing and profiling both on, the flight ring must be exactly the
+/// tail of the emitted stream filtered by the routing table. The trace
+/// ring (large enough to hold the whole run) stands in for the emitted
+/// stream; the one flight-only kind, `DprStage`, is matched against the
+/// `ReqStage` stamp the same stage marker writes to the trace.
+#[test]
+fn flight_ring_is_the_routed_tail_of_the_emitted_stream() {
+    fn routed(trace: &[(Cycles, TraceEvent)]) -> Vec<(Cycles, TraceEvent)> {
+        trace
+            .iter()
+            .filter(|(_, e)| e.route().flight())
+            .copied()
+            .collect()
+    }
+    fn shared(flight: &[(Cycles, TraceEvent)]) -> Vec<(Cycles, TraceEvent)> {
+        flight
+            .iter()
+            .filter(|(_, e)| e.route().traced())
+            .copied()
+            .collect()
+    }
+
+    let mut k = hw_scenario();
+    let tracer = k.enable_tracing(1 << 20);
+    k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
+    k.run(Cycles::from_millis(30.0));
+
+    // The default recorder wraps: it keeps the routed tail.
+    let (trace, flight) = (tracer.snapshot(), tracer.flight_snapshot());
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "the trace ring must hold the whole run"
+    );
+    assert!(
+        tracer.flight_dropped() > 0,
+        "the flight ring must have wrapped"
+    );
+    assert!(trace.iter().all(|(_, e)| e.route().traced()));
+    assert!(flight.iter().all(|(_, e)| e.route().flight()));
+    let (tail, kept) = (routed(&trace), shared(&flight));
+    assert!(!kept.is_empty());
+    assert_eq!(
+        kept[..],
+        tail[tail.len() - kept.len()..],
+        "flight ring diverged from the routed tail of the trace"
+    );
+
+    // A recorder that holds a whole window sees the routed stream exactly,
+    // flight-only stage markers included: one per `ReqStage` stamp of an
+    // allocation stage, and one stage 1 per manager invocation.
+    k.state.tracer.start_flight(1 << 16);
+    let (traced, invocations) = (trace.len(), k.state.stats.hwmgr.invocations);
+    k.run(Cycles::from_millis(30.0));
+    let (trace, flight) = (
+        tracer.snapshot().split_off(traced),
+        tracer.flight_snapshot(),
+    );
+    assert_eq!(tracer.flight_dropped(), 0);
+    assert_eq!(shared(&flight), routed(&trace));
+    let stages: Vec<_> = flight
+        .iter()
+        .filter_map(|&(t, e)| match e {
+            TraceEvent::DprStage { stage } => Some((t, stage)),
+            _ => None,
+        })
+        .collect();
+    let stamps: Vec<_> = trace
+        .iter()
+        .filter_map(|&(t, e)| match e {
+            TraceEvent::ReqStage { stage, .. } if (1..=6).contains(&stage) => Some((t, stage)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !stages.is_empty(),
+        "the scenario must run the allocation routine"
+    );
+    assert_eq!(stages, stamps);
+    assert_eq!(
+        stages.iter().filter(|&&(_, s)| s == 1).count() as u64,
+        k.state.stats.hwmgr.invocations - invocations
+    );
 }

@@ -20,9 +20,9 @@ use std::any::Any;
 
 use mnv_arm::bus::{PeriphCtx, Peripheral};
 use mnv_arm::event::SimEvent;
+use mnv_arm::machine::fault_event;
 use mnv_fault::{FaultPlane, FaultSite};
 use mnv_metrics::{Label, Registry};
-use mnv_profile::Profiler;
 use mnv_trace::TraceEvent;
 
 use crate::bitstream::Bitstream;
@@ -153,12 +153,6 @@ pub struct Pl {
     /// counts, AXI GP transaction counts, HP burst bytes and per-PRR
     /// occupancy cycles.
     metrics: Registry,
-    /// Profiler / flight-recorder handle (disabled no-op by default; the
-    /// embedder clones a live one in via [`Pl::set_profiler`]). Mirrors
-    /// the fabric's diagnostic trace events — PCAP transfer launches,
-    /// completions and aborts, PRR reconfigurations and injected faults —
-    /// into the always-on last-N flight ring.
-    profiler: Profiler,
 }
 
 impl Pl {
@@ -185,7 +179,6 @@ impl Pl {
             base_latch: 0,
             fault: FaultPlane::disabled(),
             metrics: Registry::disabled(),
-            profiler: Profiler::disabled(),
         }
     }
 
@@ -200,12 +193,6 @@ impl Pl {
     /// Attach a metrics registry (a shared handle, like the fault plane).
     pub fn set_metrics(&mut self, registry: Registry) {
         self.metrics = registry;
-    }
-
-    /// Attach a profiler / flight recorder (a shared handle, like the
-    /// fault plane and the metrics registry).
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// Number of PRRs.
@@ -275,27 +262,9 @@ impl Pl {
             self.pcap.stalled = true;
             self.metrics.inc("pcap_stalls", Label::Machine);
             ctx.log.push(ctx.now, SimEvent::Marker("pcap-stall"));
-            ctx.tracer.emit(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapStall as u8,
-                },
-            );
-            self.profiler.record_event(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapStall as u8,
-                },
-            );
+            ctx.tracer.emit(ctx.now, fault_event(FaultSite::PcapStall));
         }
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: false,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -315,13 +284,6 @@ impl Pl {
         self.pcap.stalled = false;
         ctx.log.push(ctx.now, SimEvent::Marker("pcap-abort"));
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: true,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -354,18 +316,8 @@ impl Pl {
             let bit = self.fault.pick(FaultSite::PcapCorrupt, 8) as u32;
             payload[byte] ^= 1u8 << bit;
             ctx.log.push(ctx.now, SimEvent::Marker("pcap-corrupt"));
-            ctx.tracer.emit(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapCorrupt as u8,
-                },
-            );
-            self.profiler.record_event(
-                ctx.now,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PcapCorrupt as u8,
-                },
-            );
+            ctx.tracer
+                .emit(ctx.now, fault_event(FaultSite::PcapCorrupt));
         }
         Ok(payload)
     }
@@ -423,13 +375,6 @@ impl Pl {
                             task: bs.core.encode(),
                         },
                     );
-                    self.profiler.record_event(
-                        ctx.now,
-                        TraceEvent::PrrReconfig {
-                            prr: target,
-                            task: bs.core.encode(),
-                        },
-                    );
                     if self.pcap.irq_en {
                         ctx.gic.raise(IrqNum::PCAP_DONE);
                         ctx.log
@@ -448,13 +393,6 @@ impl Pl {
             },
         }
         ctx.tracer.emit(
-            ctx.now,
-            TraceEvent::PcapDma {
-                bytes: self.pcap.len,
-                end: true,
-            },
-        );
-        self.profiler.record_event(
             ctx.now,
             TraceEvent::PcapDma {
                 bytes: self.pcap.len,
@@ -588,18 +526,7 @@ impl Peripheral for Pl {
                 {
                     self.prrs[prr].hang();
                     ctx.log.push(ctx.now, SimEvent::Marker("prr-hang"));
-                    ctx.tracer.emit(
-                        ctx.now,
-                        TraceEvent::FaultInjected {
-                            site: FaultSite::PrrHang as u8,
-                        },
-                    );
-                    self.profiler.record_event(
-                        ctx.now,
-                        TraceEvent::FaultInjected {
-                            site: FaultSite::PrrHang as u8,
-                        },
-                    );
+                    ctx.tracer.emit(ctx.now, fault_event(FaultSite::PrrHang));
                 }
             }
         }

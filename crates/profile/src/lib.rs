@@ -1,6 +1,6 @@
-//! # mnv-profile — deterministic guest profiling and the flight recorder
+//! # mnv-profile — deterministic guest profiling and post-mortem dumps
 //!
-//! Two diagnostic instruments on one shared handle:
+//! Two diagnostic instruments:
 //!
 //! * a **PC sampling profiler**: sample deadlines are exact cycle counts
 //!   on the simulated clock, and the simulator takes a sample at the first
@@ -11,13 +11,12 @@
 //!   *same* boundaries as the per-instruction reference interpreter.
 //!   Samples fold per ([`SampleKey`]: VM, ASID, kernel context, PC, mode)
 //!   into a `BTreeMap`, so exports are deterministic byte-for-byte;
-//! * a **flight recorder**: a small always-on ring of the most recent
-//!   structured kernel events (world switches, hypercalls, vIRQ
-//!   injections, DPR stage traffic, fault-plane firings) reusing
-//!   [`mnv_trace::TraceRing`]. On a terminal event the kernel calls
-//!   [`Profiler::trigger_dump`] and the ring, the hot profile buckets and
-//!   the trigger-site machine context become one self-contained
-//!   [`postmortem`] blob, decoded by the `mnvdbg` binary.
+//! * **post-mortem dumps**: on a terminal event the kernel calls
+//!   [`Profiler::trigger_dump`] and the flight recorder (the small
+//!   always-on ring of recent structured kernel events that
+//!   [`mnv_trace::Tracer::emit`] feeds, see [`mnv_trace::Route`]), the hot
+//!   profile buckets and the trigger-site machine context become one
+//!   self-contained [`postmortem`] blob, decoded by the `mnvdbg` binary.
 //!
 //! ## Observation only
 //!
@@ -39,9 +38,8 @@ pub use sample::{SampleCtx, SampleKey, SampleMode};
 
 use mnv_hal::Cycles;
 use mnv_trace::json::Json;
-use mnv_trace::TraceEvent;
+use mnv_trace::Tracer;
 
-use mnv_trace::TraceRing;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -49,9 +47,6 @@ use std::rc::Rc;
 /// Default sampling period: one sample per 6 600 simulated cycles (10 µs
 /// at 660 MHz — 100 kHz sampling on the simulated clock).
 pub const DEFAULT_PERIOD: u64 = 6_600;
-
-/// Default flight-recorder retention (events).
-pub const DEFAULT_FLIGHT_CAP: usize = 512;
 
 /// Perfetto counter-track bucket width: 1 ms of simulated time.
 const COUNTER_BUCKET: u64 = mnv_hal::cycles::CPU_HZ / 1000;
@@ -65,14 +60,12 @@ struct State {
     series: BTreeMap<(u64, u8), u64>,
     cur_vm: u8,
     ctx: SampleCtx,
-    flight: TraceRing,
     last_dump: Option<String>,
 }
 
-/// Shared handle to the profiler + flight recorder. Clones share state,
-/// exactly like `Tracer`: the kernel creates one with
-/// [`Profiler::enabled`] and hands clones to the machine and the Hardware
-/// Task Manager.
+/// Shared handle to the profiler. Clones share state, exactly like
+/// `Tracer`: the kernel creates one with [`Profiler::enabled`] and shares
+/// it with the machine.
 #[derive(Clone, Default)]
 pub struct Profiler {
     inner: Option<Rc<RefCell<State>>>,
@@ -84,9 +77,8 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// A live profiler sampling every `period` cycles starting from `now`,
-    /// with a flight ring retaining `flight_cap` events.
-    pub fn enabled(period: u64, now: Cycles, flight_cap: usize) -> Self {
+    /// A live profiler sampling every `period` cycles starting from `now`.
+    pub fn enabled(period: u64, now: Cycles) -> Self {
         let period = period.max(1);
         Profiler {
             inner: Some(Rc::new(RefCell::new(State {
@@ -97,7 +89,6 @@ impl Profiler {
                 series: BTreeMap::new(),
                 cur_vm: 0,
                 ctx: SampleCtx::None,
-                flight: TraceRing::new(flight_cap),
                 last_dump: None,
             }))),
         }
@@ -171,14 +162,6 @@ impl Profiler {
             return std::mem::replace(&mut inner.borrow_mut().ctx, ctx);
         }
         SampleCtx::None
-    }
-
-    /// Record a structured event into the flight ring.
-    #[inline]
-    pub fn record_event(&self, now: Cycles, ev: TraceEvent) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().flight.push(now, ev);
-        }
     }
 
     /// Total samples folded so far (0 when disabled).
@@ -303,47 +286,29 @@ impl Profiler {
         String::new()
     }
 
-    /// True when the flight recorder has retained at least one event. The
-    /// recorder is documented always-on: post-mortem dump sites gate on
-    /// *this* — "is there anything to dump?" — never on sampling state, so
-    /// a kill or quarantine is captured even in runs that only care about
-    /// the recorder.
-    #[inline]
-    pub fn has_flight_events(&self) -> bool {
-        if let Some(inner) = &self.inner {
-            return !inner.borrow().flight.is_empty();
-        }
-        false
-    }
-
-    /// Copy the retained flight-recorder events oldest-first.
-    pub fn flight_snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
-        if let Some(inner) = &self.inner {
-            return inner.borrow().flight.snapshot();
-        }
-        Vec::new()
-    }
-
-    /// Capture a post-mortem blob: the flight ring, the hottest profile
-    /// buckets and the caller-supplied machine `context`, stored on the
-    /// shared state (fetch with [`Profiler::last_dump`]) and returned.
+    /// Capture a post-mortem blob: `tracer`'s flight ring, the hottest
+    /// profile buckets and the caller-supplied machine `context`, stored on
+    /// the shared state (fetch with [`Profiler::last_dump`]) and returned.
     /// `None` when disabled.
-    pub fn trigger_dump(&self, reason: &str, now: Cycles, context: Json) -> Option<String> {
+    pub fn trigger_dump(
+        &self,
+        reason: &str,
+        now: Cycles,
+        tracer: &Tracer,
+        context: Json,
+    ) -> Option<String> {
         let top = self.top_k(10);
         let inner = self.inner.as_ref()?;
-        let blob = {
-            let s = inner.borrow();
-            postmortem::build_blob(
-                reason,
-                now,
-                &s.flight.snapshot(),
-                s.flight.dropped(),
-                &top,
-                s.total_samples,
-                context,
-            )
-            .to_string()
-        };
+        let blob = postmortem::build_blob(
+            reason,
+            now,
+            &tracer.flight_snapshot(),
+            tracer.flight_dropped(),
+            &top,
+            inner.borrow().total_samples,
+            context,
+        )
+        .to_string();
         inner.borrow_mut().last_dump = Some(blob.clone());
         Some(blob)
     }
@@ -374,18 +339,21 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
         p.poll(Cycles::new(1_000_000), 0x8000, 1, false);
-        p.record_event(Cycles::ZERO, TraceEvent::TlbFlush);
         assert!(!p.is_enabled());
-        assert!(!p.has_flight_events());
         assert_eq!(p.total_samples(), 0);
         assert!(p.collapsed().is_empty());
         assert_eq!(p.next_deadline(), u64::MAX);
-        assert!(p.trigger_dump("x", Cycles::ZERO, Json::Null).is_none());
+        let mut flight = Tracer::disabled();
+        flight.start_flight(4);
+        flight.emit(Cycles::ZERO, mnv_trace::TraceEvent::VmKilled { vm: 1 });
+        assert!(p
+            .trigger_dump("x", Cycles::ZERO, &flight, Json::Null)
+            .is_none());
     }
 
     #[test]
     fn sampling_fires_at_deadlines_and_folds() {
-        let p = Profiler::enabled(100, Cycles::ZERO, 16);
+        let p = Profiler::enabled(100, Cycles::ZERO);
         assert_eq!(p.next_deadline(), 100);
         p.poll(Cycles::new(99), 0x10, 0, false);
         assert_eq!(p.total_samples(), 0, "before the deadline: no sample");
@@ -401,7 +369,7 @@ mod tests {
 
     #[test]
     fn annotations_split_buckets_and_clones_share_state() {
-        let p = Profiler::enabled(10, Cycles::ZERO, 16);
+        let p = Profiler::enabled(10, Cycles::ZERO);
         let q = p.clone();
         q.set_vm(1);
         p.poll(Cycles::new(10), 0x20, 1, false);
@@ -421,21 +389,22 @@ mod tests {
 
     #[test]
     fn dump_round_trips_flight_and_top_buckets() {
-        let p = Profiler::enabled(10, Cycles::ZERO, 4);
+        let p = Profiler::enabled(10, Cycles::ZERO);
         p.set_vm(2);
         p.poll(Cycles::new(10), 0x40, 2, false);
-        assert!(!p.has_flight_events(), "no events recorded yet");
+        let mut flight = Tracer::disabled();
+        flight.start_flight(4);
         for i in 0..6u64 {
-            p.record_event(
+            flight.emit(
                 Cycles::new(i * 100),
-                TraceEvent::VmSwitch { from: 0, to: 2 },
+                mnv_trace::TraceEvent::VmSwitch { from: 0, to: 2 },
             );
         }
-        assert!(p.has_flight_events());
         let blob = p
             .trigger_dump(
                 "watchdog-abort",
                 Cycles::new(700),
+                &flight,
                 Json::obj([("pc", Json::num(64.0))]),
             )
             .expect("enabled");
@@ -450,7 +419,7 @@ mod tests {
 
     #[test]
     fn perfetto_counters_parse_and_bucket_per_vm() {
-        let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO, 4);
+        let p = Profiler::enabled(DEFAULT_PERIOD, Cycles::ZERO);
         p.set_vm(1);
         for i in 1..=5u64 {
             p.poll(Cycles::new(i * DEFAULT_PERIOD), 0x8000, 1, false);

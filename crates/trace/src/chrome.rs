@@ -157,12 +157,13 @@ mod tests {
                     kind: TrapKind::Svc,
                 },
             ),
-            (Cycles::new(700), E::Hypercall { nr: 17 }),
+            (Cycles::new(700), E::Hypercall { nr: 17, vm: 1 }),
             (
                 Cycles::new(800),
                 E::HwMgrPhase {
                     phase: MgrPhase::Entry,
                     end: false,
+                    vm: 1,
                 },
             ),
             (
@@ -170,6 +171,7 @@ mod tests {
                 E::HwMgrPhase {
                     phase: MgrPhase::Entry,
                     end: true,
+                    vm: 1,
                 },
             ),
             (Cycles::new(1500), E::TrapExit),

@@ -84,6 +84,8 @@ pub enum TraceEvent {
     Hypercall {
         /// The SVC immediate (see `mnv_hal::abi::Hypercall`).
         nr: u8,
+        /// The calling VM.
+        vm: u16,
     },
     /// World switch. `from`/`to` of 0 denote the kernel, so a switch into a
     /// VM is `{from: 0, to: vm}` and a switch out is `{from: vm, to: 0}`.
@@ -112,6 +114,8 @@ pub enum TraceEvent {
         phase: MgrPhase,
         /// False at the phase start, true at its completion.
         end: bool,
+        /// The VM that invoked the manager.
+        vm: u16,
     },
     /// A PCAP bitstream transfer started (`end: false`) or completed
     /// (`end: true`).
@@ -167,8 +171,9 @@ pub enum TraceEvent {
         vm: u16,
     },
     /// The Hardware Task Manager entered stage `stage` (1-6 of Fig. 7) of
-    /// the DPR allocation routine. Recorded by the flight recorder so a
-    /// post-mortem shows *where* in the allocation a failure hit.
+    /// the DPR allocation routine. Routed to the flight recorder only, so a
+    /// post-mortem shows *where* in the allocation a failure hit without
+    /// six extra events per request in the trace ring.
     DprStage {
         /// Stage number, 1..=6.
         stage: u8,
@@ -333,7 +338,61 @@ pub fn iface_name(iface: u8) -> &'static str {
     }
 }
 
+/// Which rings [`crate::Tracer::emit`] records an event kind into.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The trace ring only.
+    Trace,
+    /// The flight recorder only.
+    Flight,
+    /// Both rings.
+    Both,
+}
+
+impl Route {
+    /// True when the trace ring records this route.
+    #[inline]
+    pub fn traced(self) -> bool {
+        self != Route::Flight
+    }
+
+    /// True when the flight recorder records this route.
+    #[inline]
+    pub fn flight(self) -> bool {
+        self != Route::Trace
+    }
+}
+
 impl TraceEvent {
+    /// The routing table: which rings record this event kind. The flight
+    /// recorder keeps the structural kernel events a post-mortem needs
+    /// (world switches, hypercalls, vIRQs, DPR and PCAP traffic, faults and
+    /// every recovery transition); span bookkeeping and per-request stamps
+    /// stay in the trace ring.
+    pub fn route(&self) -> Route {
+        use TraceEvent as E;
+        match self {
+            E::DprStage { .. } => Route::Flight,
+            E::Hypercall { .. }
+            | E::VmSwitch { .. }
+            | E::VirqInject { .. }
+            | E::PcapDma { .. }
+            | E::PcapRetry { .. }
+            | E::PrrReconfig { .. }
+            | E::FaultInjected { .. }
+            | E::VmKilled { .. }
+            | E::HwTaskEscalate { .. }
+            | E::PrrQuarantine { .. }
+            | E::PrrScrub { .. }
+            | E::PrrReinstate { .. }
+            | E::PrrRetire { .. }
+            | E::Repromote { .. }
+            | E::SloBurn { .. }
+            | E::VmRestart { .. } => Route::Both,
+            _ => Route::Trace,
+        }
+    }
+
     /// Stable name of the event's *kind* (ignoring payload), used by the
     /// summary exporter and by tests counting distinct event types.
     pub fn kind_name(&self) -> &'static str {

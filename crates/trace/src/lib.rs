@@ -9,16 +9,19 @@
 //!   ([`chrome::export`]) and a plain-text top-N summary
 //!   ([`summary::summarize`]).
 //!
-//! ## Cheap when disabled
+//! ## One probe, two rings
 //!
-//! Tracing is switched at run time: a disabled [`Tracer`] holds `None` and
-//! `emit` is a single branch — no allocation, no formatting, no event
-//! construction side effects reach the ring.
+//! [`Tracer::emit`] is the only way an event is recorded. It writes the
+//! trace ring when tracing is on, and the small always-on flight-recorder
+//! ring (the post-mortem buffer, see `mnv-profile`) when that is on and the
+//! event kind routes there — the routing table is [`TraceEvent::route`].
+//! A disabled handle holds `None` and `emit` is one branch: no
+//! allocation, no formatting.
 //!
-//! The simulator is single-threaded, so the shared ring is an
-//! `Rc<RefCell<_>>` — cloning a [`Tracer`] shares the same ring, which is
-//! how the kernel, the CPU simulator and the FPGA model all append to one
-//! merged timeline.
+//! The simulator is single-threaded, so the rings live behind one
+//! `Rc<RefCell<_>>` — cloning a [`Tracer`] shares them (including a ring
+//! started after the clone), which is how the kernel, the CPU simulator
+//! and the FPGA model all append to one merged timeline.
 
 #![warn(missing_docs)]
 
@@ -33,7 +36,7 @@ pub mod summary;
 pub mod waterfall;
 
 pub use acc::Acc;
-pub use event::{MgrPhase, TraceEvent, TrapKind};
+pub use event::{MgrPhase, Route, TraceEvent, TrapKind};
 pub use hist::Hist;
 pub use ring::TraceRing;
 pub use span::{PairedTrace, Span, Track};
@@ -43,13 +46,26 @@ use mnv_hal::Cycles;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A handle to a (possibly shared, possibly absent) trace ring.
+/// Default flight-recorder retention (events).
+pub const DEFAULT_FLIGHT_CAP: usize = 512;
+
+/// The rings one live handle (and all its clones) records into.
+#[derive(Default)]
+struct Rings {
+    trace: Option<TraceRing>,
+    flight: Option<TraceRing>,
+}
+
+/// A handle to a (possibly shared, possibly absent) trace ring and flight
+/// recorder.
 ///
-/// Cloning shares the underlying ring. The disabled handle is free to copy
-/// around and free to `emit` into.
+/// Cloning shares the underlying rings. The disabled handle is free to copy
+/// around and free to `emit` into. The trace-ring queries (`len`, `total`,
+/// `dropped`, `snapshot`, the exporters) never see the flight ring; its
+/// own queries are the `flight_*` methods.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Rc<RefCell<TraceRing>>>,
+    rings: Option<Rc<RefCell<Rings>>>,
 }
 
 impl Tracer {
@@ -60,67 +76,110 @@ impl Tracer {
 
     /// A tracer recording into a fresh ring retaining `cap` events.
     pub fn enabled(cap: usize) -> Self {
-        Tracer {
-            sink: Some(Rc::new(RefCell::new(TraceRing::new(cap)))),
-        }
+        let mut t = Self::default();
+        t.start_trace(cap);
+        t
     }
 
-    /// True when events are being recorded.
+    fn rings_mut(&mut self) -> std::cell::RefMut<'_, Rings> {
+        self.rings.get_or_insert_with(Default::default).borrow_mut()
+    }
+
+    /// Start a fresh trace ring retaining `cap` events (replacing any
+    /// earlier one). Clones already sharing this handle's rings see it; a
+    /// disabled handle becomes live and shares nothing yet.
+    pub fn start_trace(&mut self, cap: usize) {
+        self.rings_mut().trace = Some(TraceRing::new(cap));
+    }
+
+    /// Start a fresh flight recorder retaining `cap` events, shared like
+    /// [`Tracer::start_trace`].
+    pub fn start_flight(&mut self, cap: usize) {
+        self.rings_mut().flight = Some(TraceRing::new(cap));
+    }
+
+    /// True when the trace ring is recording.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.with_trace(|_| ()).is_some()
     }
 
-    /// Record `ev` at time `now`. A no-op (one branch) when disabled.
+    /// Record `ev` at time `now` into every ring its kind routes to. One
+    /// branch when disabled.
     #[inline]
     pub fn emit(&self, now: Cycles, ev: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().push(now, ev);
+        if let Some(rings) = &self.rings {
+            let route = ev.route();
+            let mut r = rings.borrow_mut();
+            if let Some(t) = r.trace.as_mut().filter(|_| route.traced()) {
+                t.push(now, ev);
+            }
+            if let Some(f) = r.flight.as_mut().filter(|_| route.flight()) {
+                f.push(now, ev);
+            }
         }
     }
 
-    /// Events lost to ring wraparound (0 when disabled): everything ever
-    /// emitted beyond what the ring still retains.
+    fn with_trace<R>(&self, f: impl FnOnce(&TraceRing) -> R) -> Option<R> {
+        let rings = self.rings.as_ref()?.borrow();
+        rings.trace.as_ref().map(f)
+    }
+
+    fn with_flight<R>(&self, f: impl FnOnce(&TraceRing) -> R) -> Option<R> {
+        let rings = self.rings.as_ref()?.borrow();
+        rings.flight.as_ref().map(f)
+    }
+
+    /// Events lost to trace-ring wraparound (0 when disabled): everything
+    /// ever traced beyond what the ring still retains.
     pub fn dropped(&self) -> u64 {
-        self.sink.as_ref().map_or(0, |s| s.borrow().dropped())
+        self.with_trace(TraceRing::dropped).unwrap_or(0)
     }
 
-    /// Number of retained events (0 when disabled).
+    /// Number of retained trace events (0 when disabled).
     pub fn len(&self) -> usize {
-        self.sink.as_ref().map_or(0, |s| s.borrow().len())
+        self.with_trace(TraceRing::len).unwrap_or(0)
     }
 
-    /// True when no events are retained.
+    /// True when no trace events are retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total events ever recorded, including ones lost to wraparound
+    /// Total events ever traced, including ones lost to wraparound
     /// (0 when disabled).
     pub fn total(&self) -> u64 {
-        self.sink.as_ref().map_or(0, |s| s.borrow().total())
+        self.with_trace(TraceRing::total).unwrap_or(0)
     }
 
-    /// Copy the retained events oldest-first (empty when disabled).
+    /// Copy the retained trace events oldest-first (empty when disabled).
     pub fn snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
-        self.sink
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.borrow().snapshot())
+        self.with_trace(TraceRing::snapshot).unwrap_or_default()
     }
 
-    /// Drop all retained events.
-    pub fn clear(&self) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().clear();
-        }
+    /// True when the flight recorder holds at least one event — the gate
+    /// every post-mortem dump site checks ("is there anything to dump?").
+    pub fn has_flight_events(&self) -> bool {
+        self.with_flight(|f| !f.is_empty()).unwrap_or(false)
     }
 
-    /// Export the retained events as Chrome trace-event JSON.
+    /// Copy the retained flight-recorder events oldest-first (empty when
+    /// the recorder is off).
+    pub fn flight_snapshot(&self) -> Vec<(Cycles, TraceEvent)> {
+        self.with_flight(TraceRing::snapshot).unwrap_or_default()
+    }
+
+    /// Flight-recorder events lost to wraparound (0 when off).
+    pub fn flight_dropped(&self) -> u64 {
+        self.with_flight(TraceRing::dropped).unwrap_or(0)
+    }
+
+    /// Export the retained trace events as Chrome trace-event JSON.
     pub fn export_chrome(&self) -> String {
         chrome::export_with_drops(&self.snapshot(), self.dropped())
     }
 
-    /// Render a top-`n` text summary of the retained events.
+    /// Render a top-`n` text summary of the retained trace events.
     pub fn summary(&self, n: usize) -> String {
         summary::summarize_with_drops(&self.snapshot(), n, self.dropped())
     }
@@ -131,6 +190,7 @@ impl core::fmt::Debug for Tracer {
         f.debug_struct("Tracer")
             .field("enabled", &self.is_enabled())
             .field("events", &self.len())
+            .field("flight", &self.with_flight(TraceRing::len).is_some())
             .finish()
     }
 }
@@ -223,7 +283,7 @@ mod tests {
     fn chrome_export_round_trips_through_parser() {
         let t = Tracer::enabled(32);
         t.emit(Cycles::new(0), TraceEvent::VmSwitch { from: 0, to: 1 });
-        t.emit(Cycles::new(660), TraceEvent::Hypercall { nr: 0 });
+        t.emit(Cycles::new(660), TraceEvent::Hypercall { nr: 0, vm: 1 });
         t.emit(Cycles::new(1320), TraceEvent::VmSwitch { from: 1, to: 0 });
         let doc = json::parse(&t.export_chrome()).expect("valid JSON");
         assert!(doc.get("traceEvents").unwrap().as_arr().unwrap().len() >= 4);

@@ -160,7 +160,7 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
                 begin(&mut open, Track::Kernel, kind.name().to_string(), ts, 0)
             }
             TraceEvent::TrapExit => end(&mut open, &mut out, Track::Kernel, ts, None, 0),
-            TraceEvent::Hypercall { nr } => out.instants.push(Instant {
+            TraceEvent::Hypercall { nr, .. } => out.instants.push(Instant {
                 track: Track::Kernel,
                 name: hypercall_name(nr),
                 ts,
@@ -193,7 +193,7 @@ pub fn pair(events: &[(Cycles, TraceEvent)]) -> PairedTrace {
                 ts,
                 req: 0,
             }),
-            TraceEvent::HwMgrPhase { phase, end: e } => {
+            TraceEvent::HwMgrPhase { phase, end: e, .. } => {
                 if e {
                     end(&mut open, &mut out, Track::HwMgr, ts, Some(phase.name()), 0);
                 } else {
@@ -385,6 +385,7 @@ mod tests {
                 E::HwMgrPhase {
                     phase: MgrPhase::Exec,
                     end: false,
+                    vm: 1,
                 },
             ),
             (Cycles::new(90), E::TlbFlush),
@@ -408,6 +409,7 @@ mod tests {
                 E::HwMgrPhase {
                     phase: MgrPhase::Entry,
                     end: false,
+                    vm: 1,
                 },
             ),
             (
@@ -415,6 +417,7 @@ mod tests {
                 E::HwMgrPhase {
                     phase: MgrPhase::Exec,
                     end: true,
+                    vm: 1,
                 },
             ),
         ];

@@ -46,6 +46,64 @@ fn rogue_mir_guest_cannot_write_privileged_state() {
 }
 
 #[test]
+fn rogue_mir_guest_kill_reaches_every_sink() {
+    // The same rogue DACR write with metrics, tracing and profiling on:
+    // the kill must be counted in the stats and the registry alike, traced
+    // and flight-recorded as `VmKilled`, and captured as the same
+    // `vm-killed` post-mortem `Kernel::kill_vm` writes.
+    let mut k = Kernel::new(KernelConfig::default());
+    let metrics = k.enable_metrics();
+    let tracer = k.enable_tracing(4096);
+    let profiler = k.enable_profiling(mnv_profile::DEFAULT_PERIOD);
+    let mut b = ProgramBuilder::new();
+    b.mov(0, 0xFFFF_FFFF);
+    b.push(Instr::Mcr {
+        reg: MirCp15::Dacr,
+        rs: 0,
+    });
+    b.halt();
+    let vm = k.create_vm(VmSpec {
+        name: "rogue",
+        priority: Priority::GUEST,
+        guest: GuestKind::Mir(Box::new(MirGuest::new(
+            b.assemble(guest_layout::CODE_BASE.raw()),
+        ))),
+    });
+    k.run(Cycles::from_millis(5.0));
+
+    assert_eq!(
+        k.pd(vm).state,
+        mini_nova::PdState::Halted,
+        "halted in place"
+    );
+    assert_eq!(k.state.stats.vms_killed, 1);
+    assert_eq!(
+        metrics
+            .snapshot()
+            .get("vms_killed", mnv_metrics::Label::Machine),
+        1,
+        "registry must count the kill"
+    );
+    let killed = |evs: Vec<(Cycles, mnv_trace::TraceEvent)>| {
+        evs.iter()
+            .filter(|(_, e)| *e == mnv_trace::TraceEvent::VmKilled { vm: vm.0 })
+            .count()
+    };
+    assert_eq!(killed(tracer.snapshot()), 1, "kill must be traced");
+    assert_eq!(
+        killed(tracer.flight_snapshot()),
+        1,
+        "kill must be flight-recorded"
+    );
+    let blob = profiler
+        .last_dump()
+        .expect("the kill must dump a post-mortem");
+    let pm = mnv_profile::postmortem::parse(&blob).expect("dump decodes");
+    assert_eq!(pm.reason, "vm-killed");
+    assert_eq!(pm.events.last().map(|e| e.1.as_str()), Some("VmKilled"));
+}
+
+#[test]
 fn rogue_mir_guest_cannot_raise_privilege_via_msr() {
     // The classic non-trapping sensitive instruction: MSR CPSR with a
     // privileged mode request silently updates flags only — the guest
